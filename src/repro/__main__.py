@@ -78,15 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          default="interned",
                          help="value-domain representation "
                               "(default interned)")
-    analyze.add_argument("--no-specialize", action="store_true",
-                         help="run the generic engine loop instead "
-                              "of the per-policy specialized one "
-                              "(results are byte-identical)")
-    analyze.add_argument("--codegen", choices=["on", "off"],
-                         default="on",
-                         help="generated per-node step source for "
-                              "covered policies (default on; "
-                              "results are byte-identical)")
     analyze.add_argument("--cache", action="store_true",
                          help="reuse/persist results in the default "
                               "cache dir (~/.cache/repro)")
@@ -147,16 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated receiver-chain depths "
                             "for the hybrid ladder (fj-hybrid only; "
                             "adds an obj-depth axis to the matrix)")
-    bench.add_argument("--specialize", default=None, metavar="MODES",
-                       help="comma-separated engine paths to bench: "
-                            "on, off or on,off for a before/after "
-                            "matrix (default on)")
-    bench.add_argument("--no-specialize", action="store_true",
-                       help="shorthand for --specialize off")
-    bench.add_argument("--codegen", default=None, metavar="MODES",
-                       help="comma-separated codegen modes to "
-                            "bench: on, off or on,off for a "
-                            "before/after matrix (default on)")
     bench.add_argument("--repeat", type=int, default=1,
                        help="run each cell N times and report the "
                             "fastest (min-of-N; default 1)")
@@ -209,14 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "cache dir (~/.cache/repro)")
     serve.add_argument("--cache-dir", default=None,
                        help="cache directory (implies --cache)")
-    serve.add_argument("--no-specialize", action="store_true",
-                       help="run every job on the generic engine "
-                            "loop (results are byte-identical)")
-    serve.add_argument("--codegen", choices=["on", "off"],
-                       default="on",
-                       help="generated step source on the worker "
-                            "fleet (default on; off pins every job "
-                            "to the compiled loops)")
     serve.add_argument("--ready-file", default=None,
                        help="write the bound endpoint (host:port or "
                             "socket path) here once listening")
@@ -290,14 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="server TCP address (default 127.0.0.1)")
     submit.add_argument("--port", type=int, default=7557,
                         help="server TCP port (default 7557)")
-    submit.add_argument("--no-specialize", action="store_true",
-                        help="ask for the generic engine loop "
-                             "(results are byte-identical)")
-    submit.add_argument("--codegen", choices=["on", "off"],
-                        default="on",
-                        help="ask for generated step source "
-                             "(default on; results are "
-                             "byte-identical)")
     submit.add_argument("--session", action="store_true",
                         help="open a warm analysis session on the "
                              "worker (prints its id on stderr for "
@@ -419,18 +384,9 @@ def _cmd_analyze(args) -> int:
     spec = JobSpec(source=_read_source(args.file),
                    analysis=args.analysis, context=args.context,
                    simplify=args.simplify, report=args.report,
-                   values=args.values, timeout=args.timeout,
-                   specialize=not args.no_specialize,
-                   codegen=args.codegen == "on").validate()
+                   values=args.values,
+                   timeout=args.timeout).validate()
     cache = open_cache(args.cache_dir, args.cache or args.cache_dir)
-    if args.cache_dir:
-        # Keep generated modules beside the relocated result cache.
-        from pathlib import Path
-
-        from repro.analysis.codegen import set_default_codegen_cache
-        from repro.cache import CodegenCache
-        set_default_codegen_cache(
-            CodegenCache(Path(args.cache_dir) / "codegen"))
     key = job_cache_key(spec) if cache is not None else None
     if cache is not None:
         payload = cache.get(key)
@@ -513,17 +469,12 @@ def _cmd_fj(args) -> int:
 
 def _cmd_bench(args) -> int:
     from repro.benchsuite.runner import (
-        DEFAULT_ANALYSES, build_matrix, default_programs,
+        DEFAULT_ANALYSES, QUICK_ANALYSES, QUICK_CONTEXTS,
+        QUICK_PROGRAMS, build_matrix, default_programs,
         default_report_path, run_batch,
     )
     from repro.cache import open_cache
     from repro.reporting import bench_report_table
-    if args.no_specialize and args.specialize is not None:
-        raise UsageError(
-            "--no-specialize conflicts with --specialize; pass one")
-    specialize_modes = ["off"] if args.no_specialize \
-        else (args.specialize or "on").split(",")
-    codegen_modes = (args.codegen or "on").split(",")
     obj_depths = None
     if args.obj_depth is not None:
         try:
@@ -548,9 +499,9 @@ def _cmd_bench(args) -> int:
             print(f"warning: --quick uses a fixed smoke matrix; "
                   f"ignoring {', '.join(overridden)}",
                   file=sys.stderr)
-        programs = ["eta", "map", "pairs"]
-        analyses = ["mcfa", "zero", "fj-poly"]
-        contexts = [0, 1]
+        programs = list(QUICK_PROGRAMS)
+        analyses = list(QUICK_ANALYSES)
+        contexts = list(QUICK_CONTEXTS)
         copies = 1
         obj_depths = None
         timeout = min(args.timeout, 10.0)
@@ -587,8 +538,6 @@ def _cmd_bench(args) -> int:
     values = args.values.split(",")
     tasks = build_matrix(programs, analyses, contexts, copies=copies,
                          timeout=timeout, values=values,
-                         specialize=specialize_modes,
-                         codegen=codegen_modes,
                          obj_depths=obj_depths, repeat=args.repeat)
     if not tasks:
         print("error: empty benchmark matrix", file=sys.stderr)
@@ -596,16 +545,12 @@ def _cmd_bench(args) -> int:
     cache = open_cache(args.cache_dir, args.cache or args.cache_dir)
     values_axis = f" x {len(values)} value modes" \
         if len(values) > 1 else ""
-    engine_axis = f" x {len(specialize_modes)} engine paths" \
-        if len(specialize_modes) > 1 else ""
-    codegen_axis = f" x {len(codegen_modes)} codegen modes" \
-        if len(codegen_modes) > 1 else ""
     obj_axis = f" x {len(obj_depths)} obj depths" \
         if obj_depths is not None and len(obj_depths) > 1 else ""
     print(f"bench: {len(tasks)} tasks "
           f"({len(programs)} programs x {len(analyses)} analyses "
-          f"x {len(contexts)} contexts{values_axis}{engine_axis}"
-          f"{codegen_axis}{obj_axis})", file=sys.stderr)
+          f"x {len(contexts)} contexts{values_axis}{obj_axis})",
+          file=sys.stderr)
     report = run_batch(
         tasks, jobs=args.jobs, serial=args.serial, cache=cache,
         progress=lambda line: print(line, file=sys.stderr, flush=True))
@@ -638,8 +583,6 @@ def _cmd_serve(args) -> int:
         host=args.host, port=args.port, socket_path=args.socket,
         workers=args.workers, cache=cache,
         default_timeout=args.job_timeout,
-        specialize=not args.no_specialize,
-        codegen=args.codegen == "on",
         codegen_dir=codegen_dir,
         max_queue=args.max_queue).start()
     print(f"serving on {server.endpoint} "
@@ -753,8 +696,6 @@ def _cmd_submit(args) -> int:
             context=args.context, simplify=args.simplify,
             report=args.report, values=args.values,
             timeout=args.timeout,
-            specialize=not args.no_specialize,
-            codegen=args.codegen == "on",
             session=args.session, on_event=_event_printer(args))
     if final.get("status") == "ok":
         sys.stdout.write(final["stdout"])

@@ -1,16 +1,20 @@
 """Source-level codegen: emitted step loops + bit-parallel transfer.
 
-One rung past :mod:`repro.analysis.specialize`.  The specializer
-builds a closure per call node at its first step; this module walks
-the whole compiled program **ahead of time** and emits actual Python
-source — one step function per labeled node, with addresses, labels,
-primitive kinds, constructor wiring and successor plans inlined as
-literals — which is ``exec``'d into a module and driven unchanged by
-the inlined single-store loop in :mod:`repro.analysis.engine`.
-Generated modules are content-addressed and cached on disk
-(:class:`~repro.cache.CodegenCache`), so the emission walk is paid
-once per ``(schema, kind, program)`` and the fleet's session/edit
-traffic reuses it like compiled programs.
+The top engine tier (``codegen`` in :data:`repro.analysis.engine.
+TIERS`).  The specializer builds a closure per node at its first
+step; this module walks the whole compiled program **ahead of time**
+and emits actual Python source — one step function per labeled node,
+with addresses, labels, primitive kinds, constructor wiring and
+successor plans inlined as literals — which is ``exec``'d into a
+module and driven unchanged by the inlined single-store loop in
+:mod:`repro.analysis.engine`.  Generated modules are content-addressed
+and cached (:class:`~repro.cache.CodegenCache`), so the emission walk
+is paid once per ``(schema, kind, program)``.
+
+Only warm fleet workers run this tier.  Emitting a module and
+``compile()``-ing it costs far more than one fixpoint of the cheap
+analyses, so it pays off only where the module is reused across
+jobs; one-shot runs take the specialized or generic loop instead.
 
 Covered kinds
 -------------
@@ -27,7 +31,7 @@ Covered kinds
 * ``zero-fj-flat`` — the flat FJ machine under a receiver-insensitive
   context-free policy (``fj-poly`` at k = 0).
 
-Declined, deliberately (their specs register ``codegen=False``):
+Declined, deliberately (their specs leave the ``codegen`` knob off):
 
 * shared environments (the k-CFA family) — addresses are
   ``(name, context)`` with run-time contexts and the binding
@@ -175,8 +179,8 @@ def default_codegen_cache() -> CodegenCache:
 
 
 def set_default_codegen_cache(cache: CodegenCache | None) -> None:
-    """Replace the process default (CLI ``--cache-dir``, fleet
-    workers, tests).  ``None`` resets to lazy re-creation."""
+    """Replace the process default (fleet workers, tests).  ``None``
+    resets to lazy re-creation."""
     global _DEFAULT_CACHE
     _DEFAULT_CACHE = cache
 
@@ -225,9 +229,8 @@ def const_bit(K, exp):
 
 def entry_maker(K, label, nargs):
     """The context-free per-operator apply plan, against the machine's
-    shared per-lambda structure cache — mirrors
-    ``ZeroFlatKernel._entry_maker`` exactly (including the
-    record-on-first-sight point)."""
+    shared per-lambda structure cache; records the apply exactly
+    where the generic kernel's apply rule does."""
     lam_plans = K._lam_plans
 
     def entry_for(operator, recorder):
@@ -1126,7 +1129,7 @@ def _f_app(w: _Writer, call):
     w.w(2, "return step")
 
     # Plain-table fallback: the object domain decodes operators and
-    # re-emits joins each step, like the compiled loop it mirrors.
+    # re-emits joins each step, like the generic kernel it mirrors.
     w.w(1, "decode_iter = table.decode_iter")
     w.w(1, "infos = {}")
     w.w(1, "")

@@ -79,18 +79,31 @@ class Machine(Protocol):
         ...
 
 
+#: The engine tiers a run can ask for: the generic kernel loop, the
+#: per-policy specialized loop (:mod:`repro.analysis.specialize`) and
+#: generated step source (:mod:`repro.analysis.codegen`).  A tier
+#: falls back to the one below it wherever its policy is not covered,
+#: and all three give byte- and trajectory-identical results, so the
+#: tier is never part of a job's identity.  It follows from the call
+#: site: one-shot runs take :data:`DEFAULT_TIER`, and only a warm
+#: fleet worker asks for ``codegen``, because only it runs a program
+#: often enough to repay ``compile()`` of the generated module.
+TIERS = ("generic", "specialized", "codegen")
+DEFAULT_TIER = "specialized"
+
+
 def specialize(machine: "Machine", enabled: bool = True) -> "Machine":
     """The per-policy specialization stage.
 
     Given a generic machine, return the staged step loop its policy's
-    declared axes admit (:mod:`repro.analysis.specialize`): context-free
-    flat policies get a fully folded kernel with no context tuples or
-    free-variable copy reads, shared-env policies get pre-bound address
-    constructors and a monomorphic eval/apply dispatch.  Falls back to
-    *machine* itself when nothing applies (or ``enabled`` is False —
-    the ``--no-specialize`` escape hatch).  Specialized machines are
-    trajectory-identical to their generic originals; the golden suite
-    and ``tests/test_specialize.py`` gate that byte-for-byte.
+    declared axes admit (:mod:`repro.analysis.specialize`): shared-env
+    policies get pre-bound address constructors and a monomorphic
+    eval/apply dispatch, the context-free flat FJ policy a fully
+    folded per-statement loop.  Falls back to *machine* itself when
+    nothing applies (or ``enabled`` is False — the ``generic`` tier).
+    Specialized machines are trajectory-identical to their generic
+    originals; the golden suite and ``tests/test_specialize.py`` gate
+    that byte-for-byte.
     """
     if not enabled:
         return machine
@@ -115,8 +128,12 @@ def codegen_stage(machine: "Machine", enabled: bool = True,
     :func:`specialize`.  Codegen machines honor the same byte- and
     trajectory-identity contract as specialized ones; *cache* is the
     :class:`~repro.cache.CodegenCache` to draw generated modules from
-    (``None`` = the process default, on disk next to the result
-    cache).
+    (``None`` = the process default).
+
+    Building a machine here costs an emit and a ``compile()`` of the
+    module on a cache miss — far more than a one-shot fixpoint on the
+    cheap analyses — so only the ``codegen`` tier, which warm fleet
+    workers request, reaches this stage enabled.
 
     Note: codegen steps may *omit* joins they prove cannot grow the
     store, which the single-store driver cannot observe — except

@@ -32,8 +32,8 @@ from typing import Callable
 from repro.cps.program import Program
 from repro.cps.syntax import Lam
 from repro.analysis.domains import FlatEnvAbs
-from repro.analysis.engine import EngineOptions, codegen_stage, \
-    machine_path, run_single_store, specialize
+from repro.analysis.engine import DEFAULT_TIER, EngineOptions, \
+    codegen_stage, machine_path, run_single_store, specialize
 from repro.analysis.interning import PlainTable
 from repro.analysis.kernel import (
     FConfig, FlatEnv, Kernel, Recorder, result_from_run,
@@ -63,21 +63,21 @@ def analyze_flat(program: Program, allocator: EnvAllocator,
                  analysis: str, parameter: int,
                  budget: Budget | None = None,
                  plain: bool = False,
-                 specialized: bool = True,
-                 codegen: bool = True) -> AnalysisResult:
+                 tier: str = DEFAULT_TIER) -> AnalysisResult:
     """Run the flat machine to fixpoint with a single-threaded store.
 
-    ``specialized`` selects the staged step loop
-    (:func:`~repro.analysis.engine.specialize`); ``codegen`` lifts it
-    one rung further to generated source
-    (:func:`~repro.analysis.engine.codegen_stage`) and only engages on
-    top of specialization.  Results are byte-identical every way —
-    False is the escape hatch.
+    ``tier`` (:data:`~repro.analysis.engine.TIERS`) picks the step
+    loop: ``codegen`` runs generated source
+    (:func:`~repro.analysis.engine.codegen_stage`), which pays an emit
+    and a ``compile()`` per program and so only suits warm workers;
+    ``specialized`` and ``generic`` both run the generic kernel, as
+    no staged flat loop beats it.  Results are byte-identical every
+    way.
     """
     machine = FlatMachine(program, allocator)
-    staged = codegen_stage(machine, specialized and codegen)
+    staged = codegen_stage(machine, tier == "codegen")
     machine = staged if staged is not None \
-        else specialize(machine, specialized)
+        else specialize(machine, tier != "generic")
     run = run_single_store(
         machine, Recorder(),
         EngineOptions(budget=budget,

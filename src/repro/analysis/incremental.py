@@ -84,13 +84,14 @@ from repro.analysis.clients import (
     call_sites_of, escaping_point, parse_label, run_result_query,
     validate_query, value_of,
 )
+from repro.analysis.registry import registry
 from repro.analysis.results import AnalysisResult
 from repro.cps.program import Program, label_maximum
 from repro.cps.syntax import (
     AppCall, FixCall, HaltCall, IfCall, Lam, Lit, PrimCall, Ref,
     free_vars_of_call, free_vars_of_exp,
 )
-from repro.errors import UsageError
+from repro.errors import AnalysisTimeout, UsageError
 from repro.util.budget import Budget
 
 __all__ = [
@@ -108,9 +109,6 @@ SESSION_ANALYSES = ("kcfa", "mcfa", "poly", "zero")
 #: Below this fraction of structurally shared labelled nodes the diff
 #: is judged too invasive and the edit takes the from-scratch path.
 KEPT_RATIO_FLOOR = 0.5
-
-_DISPLAY = {"kcfa": "k-CFA", "mcfa": "m-CFA", "poly": "poly-k-CFA",
-            "zero": "0CFA"}
 
 
 def build_session_machine(analysis: str, parameter: int,
@@ -536,11 +534,11 @@ class AnalysisSession:
         return label
 
     def _package(self, run: EngineRun) -> AnalysisResult:
-        result = result_from_run(run, self.program,
-                                 _DISPLAY[self.analysis],
-                                 self.parameter)
-        result.engine_path = "generic"
-        return result
+        # The registry spec names the analysis and the depth it
+        # reports, exactly as a cold run of the same analysis does.
+        spec = registry().get(self.analysis)
+        return result_from_run(run, self.program, spec.display,
+                               spec.reported_parameter(self.parameter))
 
     def _adopt(self, program: Program, machine: Kernel,
                run: EngineRun) -> None:
@@ -593,6 +591,8 @@ class AnalysisSession:
                 f"the edit", diff.kept_ratio)
         try:
             outcome = self._resume(diff, budget)
+        except AnalysisTimeout:
+            raise  # out of budget: a scratch run would be too
         except Exception as error:
             return self._fall_back(new_program, budget,
                                    f"resume failed: {error}",
@@ -662,7 +662,7 @@ class AnalysisSession:
             machine, Recorder(), EngineOptions(budget=budget),
             resume_store=self.store, resume_state=resumed_state,
             seeds=seeds)
-        rendered = self._render(machine, program, run)
+        rendered = self._render(machine, program, run, budget)
         self._adopt(program, machine, rendered)
         return EditOutcome(result=self.result, mode="resumed",
                            reason="", kept_ratio=diff.kept_ratio,
@@ -670,7 +670,8 @@ class AnalysisSession:
                            cleared=len(cleared), seeds=len(seeds))
 
     def _render(self, machine: Kernel, program: Program,
-                run: EngineRun) -> EngineRun:
+                run: EngineRun, budget: Budget | None = None
+                ) -> EngineRun:
         """One breadth-first pass from boot at the final store.
 
         The resumed store can over-approximate (a kept configuration
@@ -681,8 +682,11 @@ class AnalysisSession:
         and store a from-scratch run reports — and rebuilds the
         dependency maps, leaving the session in cold-run-equivalent
         state.  The pass is O(reachable configurations); its steps
-        are *not* added to the fixpoint's step counter.
+        are *not* added to the fixpoint's step counter, but each is
+        charged to *budget*, as the engine charges its own, so the
+        edit's timeout bounds the whole edit.
         """
+        charge = (budget or Budget()).charge
         source = run.store
         recorder = Recorder()
         rendered = AbsStore(source.table)
@@ -696,6 +700,7 @@ class AnalysisSession:
         queue = [boot]
         index = 0
         while index < len(queue):
+            charge()
             config = queue[index]
             index += 1
             reads: set = set()

@@ -30,8 +30,8 @@ flat-environment analyses.  Both of the paper's engines drive it:
 from __future__ import annotations
 
 from repro.cps.program import Program
-from repro.analysis.engine import EngineOptions, machine_path, \
-    run_naive, run_single_store, specialize
+from repro.analysis.engine import DEFAULT_TIER, EngineOptions, \
+    machine_path, run_naive, run_single_store, specialize
 from repro.analysis.interning import PlainTable
 from repro.analysis.kernel import (
     KConfig, Kernel, Recorder, SharedEnv, result_from_run,
@@ -61,16 +61,17 @@ class KCFAMachine(Kernel):
 def analyze_kcfa(program: Program, k: int = 1,
                  budget: Budget | None = None,
                  plain: bool = False,
-                 specialized: bool = True) -> AnalysisResult:
+                 tier: str = DEFAULT_TIER) -> AnalysisResult:
     """Run k-CFA with the single-threaded store (§3.7).
 
     Raises :class:`~repro.errors.AnalysisTimeout` when the budget is
     exceeded — callers reproducing the worst-case table catch it and
     report ∞.  ``plain=True`` runs the pre-interning object domain
-    (for equivalence tests and before/after benchmarking);
-    ``specialized`` selects the pre-bound shared-env step loop.
+    (for equivalence tests and before/after benchmarking); every
+    ``tier`` but ``generic`` selects the pre-bound shared-env step
+    loop (there is no generated-source tier for shared environments).
     """
-    machine = specialize(KCFAMachine(program, k), specialized)
+    machine = specialize(KCFAMachine(program, k), tier != "generic")
     run = run_single_store(
         machine, Recorder(),
         EngineOptions(budget=budget,

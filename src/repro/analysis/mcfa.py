@@ -14,6 +14,7 @@ on.
 from __future__ import annotations
 
 from repro.cps.program import Program
+from repro.analysis.engine import DEFAULT_TIER
 from repro.analysis.flat_machine import analyze_flat, mcfa_allocator
 from repro.analysis.results import AnalysisResult
 from repro.errors import UsageError
@@ -23,8 +24,7 @@ from repro.util.budget import Budget
 def analyze_mcfa(program: Program, m: int = 1,
                  budget: Budget | None = None,
                  plain: bool = False,
-                 specialized: bool = True,
-                 codegen: bool = True) -> AnalysisResult:
+                 tier: str = DEFAULT_TIER) -> AnalysisResult:
     """Run m-CFA to fixpoint.
 
     Complexity is polynomial in program size for any fixed m
@@ -34,5 +34,4 @@ def analyze_mcfa(program: Program, m: int = 1,
     if m < 0:
         raise UsageError(f"m must be non-negative, got {m}")
     return analyze_flat(program, mcfa_allocator(m), "m-CFA", m, budget,
-                        plain=plain, specialized=specialized,
-                        codegen=codegen)
+                        plain=plain, tier=tier)

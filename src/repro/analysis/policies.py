@@ -38,9 +38,10 @@ def call_site_tick(k: int):
     """k-CFA's tick (§3.5.1): keep the last *k* call-site labels.
 
     The returned callable carries its **declared axes** — ``shape``,
-    ``depth`` and ``context_free`` — which the specialization stage
-    (:mod:`repro.analysis.specialize`) consults to pick a pre-resolved
-    step loop without calling the policy.
+    ``depth`` and ``context_free`` — which the engine tiers
+    (:mod:`repro.analysis.specialize`, :mod:`repro.analysis.codegen`)
+    consult to pick a pre-resolved step loop without calling the
+    policy.
     """
     def tick(call_label: int, time: tuple) -> tuple:
         return first_k(k, (call_label, *time))
@@ -57,7 +58,7 @@ def mcfa_allocator(m: int):
     frames; a *continuation* call **restores** the environment the
     continuation closed over (the caller's frames — a return).
 
-    ``context_free`` declares the m = 0 invariant the specializer
+    ``context_free`` declares the m = 0 invariant the codegen tier
     relies on: with no frames to keep, every environment the system
     can construct is the empty tuple (restores included, since every
     closure was itself created under the empty environment).

@@ -12,6 +12,7 @@ example (§6) and our §6.2 table reproduce the degeneration to 0CFA.
 from __future__ import annotations
 
 from repro.cps.program import Program
+from repro.analysis.engine import DEFAULT_TIER
 from repro.analysis.flat_machine import analyze_flat, poly_kcfa_allocator
 from repro.analysis.results import AnalysisResult
 from repro.errors import UsageError
@@ -21,11 +22,10 @@ from repro.util.budget import Budget
 def analyze_poly_kcfa(program: Program, k: int = 1,
                       budget: Budget | None = None,
                       plain: bool = False,
-                      specialized: bool = True,
-                      codegen: bool = True) -> AnalysisResult:
+                      tier: str = DEFAULT_TIER) -> AnalysisResult:
     """Run naive polynomial k-CFA to fixpoint."""
     if k < 0:
         raise UsageError(f"k must be non-negative, got {k}")
     return analyze_flat(program, poly_kcfa_allocator(k),
                         "poly-k-CFA", k, budget, plain=plain,
-                        specialized=specialized, codegen=codegen)
+                        tier=tier)

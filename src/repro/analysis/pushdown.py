@@ -19,8 +19,8 @@ records parameter 0 whatever depth the caller passes.
 from __future__ import annotations
 
 from repro.cps.program import Program
-from repro.analysis.engine import EngineOptions, machine_path, \
-    run_single_store, specialize
+from repro.analysis.engine import DEFAULT_TIER, EngineOptions, \
+    machine_path, run_single_store, specialize
 from repro.analysis.interning import PlainTable
 from repro.analysis.kernel import (
     FConfig, Kernel, Recorder, SummaryEnv, result_from_run,
@@ -42,17 +42,16 @@ class SummaryMachine(Kernel):
 def analyze_pushdown(program: Program,
                      budget: Budget | None = None,
                      plain: bool = False,
-                     specialized: bool = True) -> AnalysisResult:
+                     tier: str = DEFAULT_TIER) -> AnalysisResult:
     """Run the pushdown-summary analysis to fixpoint.
 
-    ``specialized`` is accepted for registry-knob symmetry but the
-    specialization stage declines the summary rep (its step loop is
-    not compiled yet — see :func:`repro.analysis.specialize.
-    specialize_machine`), so every run reports the ``generic`` engine
-    path; the spec registers ``specialized=False`` to advertise that
-    honestly.
+    ``tier`` is accepted for symmetry with the other analyses, but
+    the specialization stage declines the summary rep (see
+    :func:`repro.analysis.specialize.specialize_machine`), so every
+    run reports the ``generic`` engine path; the spec leaves the
+    ``specialized`` knob off to advertise that honestly.
     """
-    machine = specialize(SummaryMachine(program), specialized)
+    machine = specialize(SummaryMachine(program), tier != "generic")
     run = run_single_store(
         machine, Recorder(),
         EngineOptions(budget=budget,

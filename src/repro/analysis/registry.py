@@ -30,25 +30,26 @@ from repro.errors import UsageError
 class AnalysisSpec:
     """One analysis as a data point on the kernel's policy axis.
 
-    ``factory(program, parameter, budget, plain, specialize,
-    obj_depth)`` runs the analysis; ``concrete`` names the concrete
-    machine mode the soundness property suite checks the analysis
-    against (``shared-history``, ``flat-stack``, ``flat-history``,
-    ``summary-stack`` for Scheme; ``fj`` for Featherweight Java).
+    ``factory(program, parameter, budget, plain, tier=...,
+    obj_depth=...)`` runs the analysis; ``concrete`` names the
+    concrete machine mode the soundness property suite checks the
+    analysis against (``shared-history``, ``flat-stack``,
+    ``flat-history``, ``summary-stack`` for Scheme; ``fj`` for
+    Featherweight Java).
 
-    ``specialized`` is the registry's specialization knob: with it on
-    (the default) runs go through the per-policy specialization stage
-    (:mod:`repro.analysis.specialize`) — byte-identical to the generic
-    step loop, gated by the golden and differential suites.  Specs
-    whose engine the specializer does not cover (the naive §3.6
-    drivers) register ``specialized=False``.  ``codegen`` is the rung
-    above: generated-source step loops with bit-parallel transfer
-    (:mod:`repro.analysis.codegen`), same byte-identity contract, only
-    meaningful where ``specialized`` is — specs whose policy the
-    emitter declines (shared envs, pushdown, receiver-sensitive flat
-    FJ) register ``codegen=False``.  ``takes_obj_depth`` marks the
-    hybrid ladder: only those specs accept the bench ``--obj-depth``
-    axis.
+    ``specialized`` and ``codegen`` declare which engine tiers above
+    the generic loop exist for the policy (at some depth):
+    ``specialized`` a per-policy staged loop
+    (:mod:`repro.analysis.specialize` — k-CFA and ``fj-poly``),
+    ``codegen`` generated step source with bit-parallel transfer
+    (:mod:`repro.analysis.codegen` — the flat Scheme policies and
+    ``fj-poly``).  Every tier is byte-identical to the generic loop,
+    gated by the golden and differential suites, and a run asking for
+    a tier its policy lacks falls back to the one below.
+    ``context_free`` marks the analyses without a context depth
+    (0CFA, pushdown): they report parameter 0 whatever depth they
+    are asked for.  ``takes_obj_depth`` marks the hybrid ladder: only
+    those specs accept the bench ``--obj-depth`` axis.
     """
 
     name: str              # CLI name, e.g. "kcfa"
@@ -61,34 +62,39 @@ class AnalysisSpec:
     factory: Callable      # (program, parameter, budget, plain, ...)
     concrete: str | None = None
     paper: str = ""        # section reference
-    specialized: bool = True
-    codegen: bool = True
+    specialized: bool = False
+    codegen: bool = False
+    context_free: bool = False
     takes_obj_depth: bool = False
 
     def run(self, program, parameter: int, budget=None,
-            plain: bool = False, specialize: bool | None = None,
-            codegen: bool | None = None,
+            plain: bool = False, tier: str | None = None,
             obj_depth: int | None = None):
         """Run this analysis; the parameter is the k/m/n depth.
 
-        ``specialize=None`` / ``codegen=None`` mean the spec's own
-        defaults; ``True`` still runs the lower tier when the spec
-        opted out.  ``obj_depth`` is only legal on hybrid-ladder specs
+        ``tier`` overrides the engine tier
+        (:data:`~repro.analysis.engine.TIERS`; ``None`` is the
+        one-shot default, ``specialized``).  ``obj_depth`` is only
+        legal on hybrid-ladder specs
         (:class:`~repro.errors.UsageError` otherwise).
         """
+        from repro.analysis.engine import DEFAULT_TIER, TIERS
         if obj_depth is not None and not self.takes_obj_depth:
             raise UsageError(
                 f"analysis {self.name!r} has no obj-depth axis; "
                 f"--obj-depth applies only to "
                 f"{', '.join(_obj_depth_names()) or 'no registered analysis'}")
-        effective = self.specialized if specialize is None \
-            else (specialize and self.specialized)
-        effective_codegen = self.codegen if codegen is None \
-            else (codegen and self.codegen)
+        tier = tier or DEFAULT_TIER
+        if tier not in TIERS:
+            raise ValueError(f"unknown engine tier {tier!r}; choose "
+                             f"from {', '.join(TIERS)}")
         return self.factory(program, parameter, budget, plain,
-                            specialize=effective,
-                            codegen=effective_codegen,
-                            obj_depth=obj_depth)
+                            tier=tier, obj_depth=obj_depth)
+
+    def reported_parameter(self, parameter: int) -> int:
+        """The depth a result of this analysis reports when run at
+        *parameter* (0 for the context-free analyses)."""
+        return 0 if self.context_free else parameter
 
     def listing(self) -> dict:
         """The JSON-able registry row served by the ``analyses``
@@ -185,13 +191,12 @@ def registry() -> AnalysisRegistry:
 
 def run_analysis(name: str, program, parameter: int, budget=None,
                  plain: bool = False, language: str | None = None,
-                 specialize: bool | None = None,
-                 codegen: bool | None = None,
+                 tier: str | None = None,
                  obj_depth: int | None = None):
     """Dispatch one analysis by registry name."""
     return registry().get(name, language).run(
-        program, parameter, budget, plain, specialize=specialize,
-        codegen=codegen, obj_depth=obj_depth)
+        program, parameter, budget, plain, tier=tier,
+        obj_depth=obj_depth)
 
 
 # -- the builtin analyses -------------------------------------------------
@@ -204,90 +209,87 @@ def run_analysis(name: str, program, parameter: int, budget=None,
 def _register_builtin(table: AnalysisRegistry) -> None:
     # Factories take (program, parameter, budget, plain) positionally
     # plus the keyword-only options AnalysisSpec.run threads through:
-    # ``specialize`` (resolved against the spec's knob) and
-    # ``obj_depth`` (hybrid ladder only — validated in run()).
+    # ``tier`` (validated in run(); the naive drivers have a single
+    # tier and ignore it) and ``obj_depth`` (hybrid ladder only —
+    # validated in run()).
 
-    def kcfa(program, parameter, budget, plain, *, specialize=True,
-             codegen=True, obj_depth=None):
+    def kcfa(program, parameter, budget, plain, *, tier,
+             obj_depth=None):
         from repro.analysis.kcfa import analyze_kcfa
         return analyze_kcfa(program, parameter, budget, plain=plain,
-                            specialized=specialize)
+                            tier=tier)
 
-    def mcfa(program, parameter, budget, plain, *, specialize=True,
-             codegen=True, obj_depth=None):
+    def mcfa(program, parameter, budget, plain, *, tier,
+             obj_depth=None):
         from repro.analysis.mcfa import analyze_mcfa
         return analyze_mcfa(program, parameter, budget, plain=plain,
-                            specialized=specialize, codegen=codegen)
+                            tier=tier)
 
-    def poly(program, parameter, budget, plain, *, specialize=True,
-             codegen=True, obj_depth=None):
+    def poly(program, parameter, budget, plain, *, tier,
+             obj_depth=None):
         from repro.analysis.polykcfa import analyze_poly_kcfa
         return analyze_poly_kcfa(program, parameter, budget,
-                                 plain=plain, specialized=specialize,
-                                 codegen=codegen)
+                                 plain=plain, tier=tier)
 
-    def zero(program, parameter, budget, plain, *, specialize=True,
-             codegen=True, obj_depth=None):
+    def zero(program, parameter, budget, plain, *, tier,
+             obj_depth=None):
         from repro.analysis.zerocfa import analyze_zerocfa
-        return analyze_zerocfa(program, budget, plain=plain,
-                               specialized=specialize,
-                               codegen=codegen)
+        return analyze_zerocfa(program, budget, plain=plain, tier=tier)
 
-    def pushdown(program, parameter, budget, plain, *,
-                 specialize=True, codegen=True, obj_depth=None):
+    def pushdown(program, parameter, budget, plain, *, tier,
+                 obj_depth=None):
         from repro.analysis.pushdown import analyze_pushdown
         return analyze_pushdown(program, budget, plain=plain,
-                                specialized=specialize)
+                                tier=tier)
 
-    def kcfa_gc(program, parameter, budget, plain, *,
-                specialize=True, codegen=True, obj_depth=None):
+    def kcfa_gc(program, parameter, budget, plain, *, tier,
+                obj_depth=None):
         from repro.analysis.gc import analyze_kcfa_gc
         return analyze_kcfa_gc(program, parameter, budget, plain=plain)
 
-    def kcfa_naive(program, parameter, budget, plain, *,
-                   specialize=True, codegen=True, obj_depth=None):
+    def kcfa_naive(program, parameter, budget, plain, *, tier,
+                   obj_depth=None):
         from repro.analysis.kcfa import analyze_kcfa_naive
         return analyze_kcfa_naive(program, parameter, budget,
                                   plain=plain)
 
-    def fj_kcfa(program, parameter, budget, plain, *,
-                specialize=True, codegen=True, obj_depth=None):
+    def fj_kcfa(program, parameter, budget, plain, *, tier,
+                obj_depth=None):
         from repro.fj.kcfa import analyze_fj_kcfa
         return analyze_fj_kcfa(program, parameter, budget=budget,
                                plain=plain)
 
-    def fj_poly(program, parameter, budget, plain, *,
-                specialize=True, codegen=True, obj_depth=None):
+    def fj_poly(program, parameter, budget, plain, *, tier,
+                obj_depth=None):
         from repro.fj.poly import analyze_fj_poly
         return analyze_fj_poly(program, parameter, budget=budget,
-                               plain=plain, specialized=specialize,
-                               codegen=codegen)
+                               plain=plain, tier=tier)
 
-    def fj_kcfa_gc(program, parameter, budget, plain, *,
-                   specialize=True, codegen=True, obj_depth=None):
+    def fj_kcfa_gc(program, parameter, budget, plain, *, tier,
+                   obj_depth=None):
         from repro.fj.gc import analyze_fj_kcfa_gc
         return analyze_fj_kcfa_gc(program, parameter, budget=budget,
                                   plain=plain)
 
-    def fj_mcfa(program, parameter, budget, plain, *,
-                specialize=True, codegen=True, obj_depth=None):
+    def fj_mcfa(program, parameter, budget, plain, *, tier,
+                obj_depth=None):
         from repro.fj.mcfa import analyze_fj_mcfa
         return analyze_fj_mcfa(program, parameter, budget=budget,
-                               plain=plain, specialized=specialize)
+                               plain=plain, tier=tier)
 
-    def fj_hybrid(program, parameter, budget, plain, *,
-                  specialize=True, codegen=True, obj_depth=None):
+    def fj_hybrid(program, parameter, budget, plain, *, tier,
+                  obj_depth=None):
         from repro.fj.hybrid import analyze_fj_hybrid
         return analyze_fj_hybrid(
             program, parameter,
             obj_depth=1 if obj_depth is None else obj_depth,
-            budget=budget, plain=plain, specialized=specialize)
+            budget=budget, plain=plain, tier=tier)
 
-    def fj_obj(program, parameter, budget, plain, *,
-               specialize=True, codegen=True, obj_depth=None):
+    def fj_obj(program, parameter, budget, plain, *, tier,
+               obj_depth=None):
         from repro.fj.hybrid import analyze_fj_obj
         return analyze_fj_obj(program, parameter, budget=budget,
-                              plain=plain, specialized=specialize)
+                              plain=plain, tier=tier)
 
     table.register(AnalysisSpec(
         name="kcfa", display="k-CFA", language="scheme",
@@ -297,26 +299,29 @@ def _register_builtin(table: AnalysisRegistry) -> None:
         concrete="shared-history", paper="§3.4–3.7",
         # Shared environments: addresses are (var, context) with
         # run-time contexts, so the emitter has no constants to fold
-        # beyond what CompiledSharedKernel pre-binds — declined.
-        codegen=False))
+        # beyond what CompiledSharedKernel pre-binds — no codegen.
+        specialized=True))
+    # The flat Scheme policies: no staged loop beat the generic
+    # kernel, so their only tier above it is generated source.
     table.register(AnalysisSpec(
         name="mcfa", display="m-CFA", language="scheme",
         env_rep="flat", engine="single-store",
         context="alloc: top-m stack frames, continuations restore",
         complexity="PTIME", factory=mcfa,
-        concrete="flat-stack", paper="§5.2–5.3"))
+        concrete="flat-stack", paper="§5.2–5.3", codegen=True))
     table.register(AnalysisSpec(
         name="poly", display="poly-k-CFA", language="scheme",
         env_rep="flat", engine="single-store",
         context="alloc: last k call sites (every call rotates)",
         complexity="PTIME", factory=poly,
-        concrete="flat-history", paper="§6"))
+        concrete="flat-history", paper="§6", codegen=True))
     table.register(AnalysisSpec(
         name="zero", display="0CFA", language="scheme",
         env_rep="flat", engine="single-store",
         context="no context: [m=0]CFA == [k=0]CFA",
         complexity="PTIME", factory=zero,
-        concrete="flat-stack", paper="§5.3"))
+        concrete="flat-stack", paper="§5.3", codegen=True,
+        context_free=True))
     table.register(AnalysisSpec(
         name="pushdown", display="pushdown", language="scheme",
         env_rep="summary", engine="single-store",
@@ -324,73 +329,62 @@ def _register_builtin(table: AnalysisRegistry) -> None:
                 "call-edge tables, continuations restore frames",
         complexity="PTIME (polynomial entry table)", factory=pushdown,
         concrete="summary-stack", paper="§6 / CFA2",
-        # The specializer has no compiled step loop for the summary
-        # rep yet; register the knob honestly (the analyses listing
-        # and the bench --specialize axis must not advertise a path
-        # that cannot run) — asserted in tests/test_pushdown.py.
-        # Codegen stays declined with it: entry summaries key on
-        # run-time argument signatures, nothing folds to literals.
-        specialized=False, codegen=False))
+        # No staged loop for the summary rep, and no codegen: entry
+        # summaries key on run-time argument signatures, so nothing
+        # folds to literals — asserted in tests/test_pushdown.py.
+        context_free=True))
     table.register(AnalysisSpec(
         name="kcfa-gc", display="k-CFA+GC", language="scheme",
         env_rep="shared", engine="naive+gc",
         context="tick: last k call sites; abstract GC per transition",
         complexity="EXPTIME (per-state stores)", factory=kcfa_gc,
-        concrete="shared-history", paper="§8 / ΓCFA",
-        specialized=False, codegen=False))
+        concrete="shared-history", paper="§8 / ΓCFA"))
     table.register(AnalysisSpec(
         name="kcfa-naive", display="k-CFA-naive", language="scheme",
         env_rep="shared", engine="naive",
         context="tick: last k call sites; reachable-states driver",
         complexity="EXPTIME even for k=0", factory=kcfa_naive,
-        concrete="shared-history", paper="§3.6",
-        specialized=False, codegen=False))
+        concrete="shared-history", paper="§3.6"))
     table.register(AnalysisSpec(
         name="fj-kcfa", display="FJ-k-CFA", language="fj",
         env_rep="shared", engine="single-store",
         context="tick: last k labels at invocations (Figure 9)",
         complexity="PTIME (objects close flat)", factory=fj_kcfa,
-        concrete="fj", paper="§4.3",
-        # The map-based Figure 9 machine has no specialization yet
-        # (see ROADMAP); register the knob honestly so the analyses
-        # listing and the bench --specialize axis do not advertise a
-        # path that cannot run.  Codegen rides on specialization, so
-        # it is declined with it.
-        specialized=False, codegen=False))
+        concrete="fj", paper="§4.3"))
     table.register(AnalysisSpec(
         name="fj-poly", display="FJ-poly-k-CFA", language="fj",
         env_rep="flat", engine="single-store",
         context="benv collapsed to its time (BEnv ~ Time)",
         complexity="PTIME", factory=fj_poly,
-        concrete="fj", paper="§4.4"))
+        concrete="fj", paper="§4.4",
+        # Both tiers at k = 0 only (the receiver-insensitive
+        # context-free policy); deeper runs are generic.
+        specialized=True, codegen=True))
     table.register(AnalysisSpec(
         name="fj-kcfa-gc", display="FJ-k-CFA+GC", language="fj",
         env_rep="shared", engine="naive+gc",
         context="Figure 9 ticks; abstract GC per transition",
         complexity="per-state stores", factory=fj_kcfa_gc,
-        concrete="fj", paper="§8", specialized=False,
-        codegen=False))
+        concrete="fj", paper="§8"))
+    # Receiver-sensitive flat FJ: per-receiver times mean the
+    # per-statement addresses are not compile-time constants, so
+    # neither the specializer nor the emitter covers these three.
     table.register(AnalysisSpec(
         name="fj-mcfa", display="FJ-m-CFA", language="fj",
         env_rep="flat", engine="single-store",
         context="top-m stack frames; this re-bound by field copying",
         complexity="PTIME", factory=fj_mcfa,
-        concrete="fj", paper="§5 transplanted to §4",
-        # Receiver-sensitive flat FJ: per-receiver times mean the
-        # per-statement addresses are not compile-time constants —
-        # the emitter declines (as for fj-hybrid and fj-obj below).
-        codegen=False))
+        concrete="fj", paper="§5 transplanted to §4"))
     table.register(AnalysisSpec(
         name="fj-hybrid", display="FJ-hybrid", language="fj",
         env_rep="flat", engine="single-store",
         context="receiver alloc site + last call sites (ladder)",
         complexity="PTIME", factory=fj_hybrid,
         concrete="fj", paper="§8 (object sensitivity)",
-        codegen=False, takes_obj_depth=True))
+        takes_obj_depth=True))
     table.register(AnalysisSpec(
         name="fj-obj", display="FJ-obj", language="fj",
         env_rep="flat", engine="single-store",
         context="receiver allocation chain, depth n (obj^n)",
         complexity="PTIME", factory=fj_obj,
-        concrete="fj", paper="§8 (object sensitivity)",
-        codegen=False))
+        concrete="fj", paper="§8 (object sensitivity)"))

@@ -46,11 +46,12 @@ class AnalysisResult:
     timed_out: bool = False
     state_count: int = 0              # naive engine only: |states|
     configs: frozenset = frozenset()  # reachable configurations
-    #: Which step loop produced this result — ``generic`` or
-    #: ``specialized:<name>`` (see :mod:`repro.analysis.specialize`).
-    #: Not part of :meth:`summary`: the two paths are byte-identical,
-    #: so the path is provenance, not a result; the bench runner
-    #: records it per row instead.
+    #: Which step loop produced this result — ``generic``,
+    #: ``specialized:<name>`` or ``codegen:<name>`` (see
+    #: :data:`repro.analysis.engine.TIERS`).  Not part of
+    #: :meth:`summary`: every path is byte-identical, so the path is
+    #: provenance, not a result; bench and job rows record it
+    #: instead.
     engine_path: str = "generic"
 
     # -- flow queries ------------------------------------------------------

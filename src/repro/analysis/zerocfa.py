@@ -14,6 +14,7 @@ sets, which is a strong cross-validation of the two machines.
 from __future__ import annotations
 
 from repro.cps.program import Program
+from repro.analysis.engine import DEFAULT_TIER
 from repro.analysis.flat_machine import analyze_flat, mcfa_allocator
 from repro.analysis.results import AnalysisResult
 from repro.util.budget import Budget
@@ -22,19 +23,12 @@ from repro.util.budget import Budget
 def analyze_zerocfa(program: Program,
                     budget: Budget | None = None,
                     plain: bool = False,
-                    specialized: bool = True,
-                    codegen: bool = True) -> AnalysisResult:
+                    tier: str = DEFAULT_TIER) -> AnalysisResult:
     """Run 0CFA (m-CFA with m = 0) to fixpoint.
 
-    With ``specialized`` (the default) the context-free allocator
-    selects the fully folded step loop
-    (:class:`~repro.analysis.specialize.ZeroFlatKernel`): no context
-    tuples, no free-variable copy reads, addresses pre-resolved.
-    ``codegen`` (also the default) lifts that one rung further to
-    emitted source with bit-parallel transfer
-    (:mod:`repro.analysis.codegen`).
+    The ``codegen`` tier folds every context to ``()`` in emitted
+    source with bit-parallel transfer (:mod:`repro.analysis.codegen`);
+    the other tiers run the generic kernel.
     """
-    result = analyze_flat(program, mcfa_allocator(0), "0CFA", 0, budget,
-                          plain=plain, specialized=specialized,
-                          codegen=codegen)
-    return result
+    return analyze_flat(program, mcfa_allocator(0), "0CFA", 0, budget,
+                        plain=plain, tier=tier)

@@ -107,12 +107,11 @@ def fj_random_seed(name: str) -> int:
     return int(name[len(FJ_RANDOM_PREFIX):])
 
 
-#: Engine-path modes of the bench ``--specialize`` axis.
-SPECIALIZE_MODES = ("on", "off")
-
-#: Modes of the bench ``--codegen`` axis (generated step source vs
-#: the compiled specialized loops; byte-identical results).
-CODEGEN_MODES = ("on", "off")
+#: The ``bench --quick`` smoke matrix (CI, and the tier differential
+#: in ``tests/test_benchrunner.py``).
+QUICK_PROGRAMS = ("eta", "map", "pairs")
+QUICK_ANALYSES = ("mcfa", "zero", "fj-poly")
+QUICK_CONTEXTS = (0, 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,13 +124,9 @@ class BenchTask:
     programs via :func:`repro.benchsuite.scaling.scaled_source` and is
     ignored for generated and FJ programs.  ``values`` selects the
     value-domain representation (see :data:`VALUE_MODES`);
-    ``specialize`` the engine path (``on`` runs the per-policy
-    specialized step loop, ``off`` the generic one — byte-identical
-    results, so rows differ only in timing); ``codegen`` the
-    generated-source tier on top of it (``off`` pins covered
-    policies to the compiled loops — byte-identical again);
     ``obj_depth`` the hybrid ladder's receiver-chain depth
-    (fj-hybrid only).
+    (fj-hybrid only).  Tasks run one-shot, so they take the default
+    engine tier; each row's ``engine_path`` records which loop ran.
     """
 
     program: str
@@ -140,8 +135,6 @@ class BenchTask:
     copies: int = 1
     timeout: float = 30.0
     values: str = "interned"
-    specialize: str = "on"
-    codegen: str = "on"
     obj_depth: int | None = None
     #: Run the analysis this many times and report the fastest
     #: ``elapsed`` (min-of-N, the standard noise filter for committed
@@ -155,11 +148,8 @@ class BenchTask:
         obj = f",obj={self.obj_depth}" if self.obj_depth is not None \
             else ""
         mode = f"[{self.values}]" if self.values != "interned" else ""
-        path = "[generic]" if self.specialize == "off" else ""
-        gen = "[nocodegen]" if self.specialize != "off" \
-            and self.codegen == "off" else ""
         return (f"{self.program}{scale}:{self.analysis}"
-                f"({self.parameter}{obj}){mode}{path}{gen}")
+                f"({self.parameter}{obj}){mode}")
 
 
 def task_source(task: BenchTask) -> str:
@@ -223,10 +213,7 @@ def _run_scheme_task(task: BenchTask, budget: Budget) -> dict:
         program = BY_NAME[task.program].compile()
     return _best_of(task, budget, lambda: run_scheme_analysis(
         program, task.analysis, task.parameter, budget,
-        plain=task.values == "plain",
-        specialize=task.specialize != "off",
-        codegen=task.codegen != "off",
-        obj_depth=task.obj_depth))
+        plain=task.values == "plain", obj_depth=task.obj_depth))
 
 
 def _run_fj_task(task: BenchTask, budget: Budget) -> dict:
@@ -245,10 +232,7 @@ def _run_fj_task(task: BenchTask, budget: Budget) -> dict:
         program = parse_fj(ALL_EXAMPLES[task.program])
     return _best_of(task, budget, lambda: run_fj_analysis(
         program, task.analysis, task.parameter, budget,
-        plain=task.values == "plain",
-        specialize=task.specialize != "off",
-        codegen=task.codegen != "off",
-        obj_depth=task.obj_depth))
+        plain=task.values == "plain", obj_depth=task.obj_depth))
 
 
 def run_task(task: BenchTask) -> dict:
@@ -267,8 +251,6 @@ def run_task(task: BenchTask) -> dict:
         "copies": task.copies,
         "timeout": task.timeout,
         "values": task.values,
-        "specialize": task.specialize,
-        "codegen": task.codegen,
         "repeat": task.repeat,
         "pid": os.getpid(),
     }
@@ -302,12 +284,10 @@ def build_matrix(programs: Iterable[str], analyses: Iterable[str],
                  contexts: Iterable[int], copies: int = 1,
                  timeout: float = 30.0,
                  values: Iterable[str] = ("interned",),
-                 specialize: Iterable[str] = ("on",),
-                 codegen: Iterable[str] = ("on",),
                  obj_depths: Iterable[int] | None = None,
                  repeat: int = 1) -> list[BenchTask]:
-    """Expand program × analysis × context × value-mode (× engine
-    path × obj-depth) into tasks.
+    """Expand program × analysis × context × value-mode (×
+    obj-depth) into tasks.
 
     Scheme analyses pair with Scheme programs (suite names or
     ``worst<depth>`` ladder terms) and FJ analyses with FJ programs;
@@ -329,8 +309,6 @@ def build_matrix(programs: Iterable[str], analyses: Iterable[str],
     programs = list(dict.fromkeys(programs))
     analyses = list(dict.fromkeys(analyses))
     value_modes = list(dict.fromkeys(values))
-    engine_paths = list(dict.fromkeys(specialize))
-    codegen_modes = list(dict.fromkeys(codegen))
     depth_axis = None if obj_depths is None \
         else sorted(set(obj_depths))
     # Consult the registry live (not the import-time tuples) so an
@@ -347,18 +325,6 @@ def build_matrix(programs: Iterable[str], analyses: Iterable[str],
         raise UsageError(
             f"unknown value modes {unknown_modes!r}; choose from "
             f"{', '.join(VALUE_MODES)}")
-    unknown_paths = [mode for mode in engine_paths
-                     if mode not in SPECIALIZE_MODES]
-    if unknown_paths:
-        raise UsageError(
-            f"unknown specialize modes {unknown_paths!r}; choose "
-            f"from {', '.join(SPECIALIZE_MODES)}")
-    unknown_gen = [mode for mode in codegen_modes
-                   if mode not in CODEGEN_MODES]
-    if unknown_gen:
-        raise UsageError(
-            f"unknown codegen modes {unknown_gen!r}; choose from "
-            f"{', '.join(CODEGEN_MODES)}")
     if depth_axis is not None:
         no_axis = [name for name in analyses
                    if not table.get(name).takes_obj_depth]
@@ -385,33 +351,18 @@ def build_matrix(programs: Iterable[str], analyses: Iterable[str],
             for parameter in contexts:
                 # Context-free analyses (0CFA, the pushdown summary
                 # rep) have no context knob; emit each once.
-                if analysis in ("zero", "pushdown") \
+                if table.get(analysis).context_free \
                         and parameter != min(contexts):
                     continue
                 for obj_depth in (depth_axis if depth_axis is not None
                                   else (None,)):
                     for mode in value_modes:
-                        for path in engine_paths:
-                            for gen in codegen_modes:
-                                # Codegen rides on specialization:
-                                # with the engine path off there is
-                                # only one cell, not two identical
-                                # generic ones.
-                                if path == "off" and gen != \
-                                        codegen_modes[0]:
-                                    continue
-                                tasks.append(BenchTask(
-                                    program=program,
-                                    analysis=analysis,
-                                    parameter=parameter,
-                                    copies=copies
-                                    if program in BY_NAME else 1,
-                                    timeout=timeout, values=mode,
-                                    specialize=path,
-                                    codegen=gen
-                                    if path != "off" else "off",
-                                    obj_depth=obj_depth,
-                                    repeat=repeat))
+                        tasks.append(BenchTask(
+                            program=program, analysis=analysis,
+                            parameter=parameter,
+                            copies=copies if program in BY_NAME else 1,
+                            timeout=timeout, values=mode,
+                            obj_depth=obj_depth, repeat=repeat))
     return tasks
 
 
@@ -481,8 +432,6 @@ def _task_cache_key(task: BenchTask) -> str:
     return cache_key(task_source(task), task.analysis, task.parameter,
                      {"bench": True, "copies": task.copies,
                       "values": task.values,
-                      "specialize": task.specialize,
-                      "codegen": task.codegen,
                       "obj_depth": task.obj_depth,
                       "repeat": task.repeat})
 

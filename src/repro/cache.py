@@ -284,11 +284,11 @@ class ProgramCache:
     these so a repeat submission that misses the result cache (say,
     a different context depth over the same source) still skips
     parse/CPS-transform/boot.  The payoff compounds because the
-    specializer caches structural plans *on the Program object*
-    (:mod:`repro.analysis.specialize`), so returning the same object
-    also returns its already-built plans — the per-worker
-    ``plans_reused`` stat the sharding tests observe counts exactly
-    these hits.
+    codegen tier caches its program fingerprint and per-lambda entry
+    plans *on the Program object* (:mod:`repro.analysis.codegen`), so
+    returning the same object also returns its already-built plans —
+    the per-worker ``plans_reused`` stat the sharding tests observe
+    counts exactly these hits.
 
     Keys are ``(language, sha256(source), simplify)``: everything
     that determines the compiled artifact and nothing that does not
@@ -382,8 +382,8 @@ class CodegenCache:
 
     The codegen tier (:mod:`repro.analysis.codegen`) emits one Python
     module per ``(schema, kind, program)`` triple; emission walks the
-    whole program, so repeat analyses — and especially the fleet's
-    session/edit traffic — should pay it once.  Entries live
+    whole program and loading compiles the result, so a fleet
+    worker's repeat jobs should pay both once.  Entries live
     one-per-file as ``<key>.py`` beside the result cache, written
     atomically, and an exec'd-namespace LRU keeps the hottest modules
     from even re-``exec``-ing.
@@ -474,22 +474,29 @@ class CodegenCache:
                 f"freshly generated codegen module failed validation "
                 f"(key {key[:12]}…)")
         if path is not None:
+            self._write(path, source)
+        self._remember(key, namespace)
+        return namespace
+
+    def _write(self, path: Path, source: str) -> None:
+        """Persist a module atomically.  A failed write (full disk,
+        vanished or read-only directory) only loses the disk copy:
+        the module still serves from memory, and the job goes on."""
+        handle = None
+        try:
             handle = tempfile.NamedTemporaryFile(
                 "w", encoding="utf-8", dir=self.directory,
                 prefix=".tmp-", suffix=".py", delete=False)
-            try:
-                with handle:
-                    handle.write(source)
-                os.replace(handle.name, path)
-                self.stats.writes += 1
-            except BaseException:
+            with handle:
+                handle.write(source)
+            os.replace(handle.name, path)
+            self.stats.writes += 1
+        except OSError:
+            if handle is not None:
                 try:
                     os.unlink(handle.name)
                 except OSError:
                     pass
-                raise
-        self._remember(key, namespace)
-        return namespace
 
     def _entry_paths(self):
         if self.directory is None:

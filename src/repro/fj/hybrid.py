@@ -26,6 +26,7 @@ the ladder are the parameter n (and, for custom policies,
 
 from __future__ import annotations
 
+from repro.analysis.engine import DEFAULT_TIER
 from repro.analysis.policies import FJHybrid
 from repro.fj.class_table import FJProgram
 from repro.fj.kcfa import FJResult
@@ -38,7 +39,7 @@ def analyze_fj_hybrid(program: FJProgram, n: int = 1,
                       obj_depth: int = 1,
                       budget: Budget | None = None,
                       plain: bool = False,
-                      specialized: bool = True) -> FJResult:
+                      tier: str = DEFAULT_TIER) -> FJResult:
     """Run the hybrid ladder: *obj_depth* receiver-chain elements
     concatenated with the last *n* call sites per context window.
 
@@ -57,17 +58,17 @@ def analyze_fj_hybrid(program: FJProgram, n: int = 1,
     return run_flat_policy(
         FJFlatMachine(program, FJHybrid(call_depth=n,
                                         obj_depth=obj_depth)),
-        "FJ-hybrid", n, budget, plain, specialized)
+        "FJ-hybrid", n, budget, plain, tier)
 
 
 def analyze_fj_obj(program: FJProgram, n: int = 1,
                    budget: Budget | None = None,
                    plain: bool = False,
-                   specialized: bool = True) -> FJResult:
+                   tier: str = DEFAULT_TIER) -> FJResult:
     """Run pure object sensitivity (obj^n): the context window is the
     receiver's allocation chain alone."""
     if n < 0:
         raise UsageError(f"n must be non-negative, got {n}")
     return run_flat_policy(
         FJFlatMachine(program, FJHybrid(call_depth=0, obj_depth=n)),
-        "FJ-obj", n, budget, plain, specialized)
+        "FJ-obj", n, budget, plain, tier)

@@ -163,8 +163,9 @@ class FJResult:
     halt_values: frozenset
     steps: int
     elapsed: float = 0.0
-    #: Which step loop ran — ``generic`` or ``specialized:<name>``
-    #: (provenance only; never part of :meth:`summary`).
+    #: Which step loop ran — ``generic``, ``specialized:<name>`` or
+    #: ``codegen:<name>`` (provenance only; never part of
+    #: :meth:`summary`).
     engine_path: str = "generic"
 
     # -- queries ---------------------------------------------------------

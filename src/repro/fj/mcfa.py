@@ -23,6 +23,7 @@ value (see :mod:`repro.analysis.policies`) plus this wrapper.
 
 from __future__ import annotations
 
+from repro.analysis.engine import DEFAULT_TIER
 from repro.analysis.policies import FJStack
 from repro.fj.class_table import FJProgram
 from repro.fj.kcfa import FJResult
@@ -34,9 +35,9 @@ from repro.util.budget import Budget
 def analyze_fj_mcfa(program: FJProgram, m: int = 1,
                     budget: Budget | None = None,
                     plain: bool = False,
-                    specialized: bool = True) -> FJResult:
+                    tier: str = DEFAULT_TIER) -> FJResult:
     """Run FJ m-CFA (stack-frame contexts, field copying) to fixpoint."""
     if m < 0:
         raise UsageError(f"m must be non-negative, got {m}")
     return run_flat_policy(FJFlatMachine(program, FJStack(m)),
-                           "FJ-m-CFA", m, budget, plain, specialized)
+                           "FJ-m-CFA", m, budget, plain, tier)

@@ -42,8 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.domains import AbsStore
-from repro.analysis.engine import EngineOptions, codegen_stage, \
-    machine_path, run_single_store, specialize
+from repro.analysis.engine import DEFAULT_TIER, EngineOptions, \
+    codegen_stage, machine_path, run_single_store, specialize
 from repro.analysis.policies import FJCallSite, FJContextPolicy
 from repro.fj.class_table import FJProgram
 from repro.fj.concrete import TICK_POLICIES
@@ -391,23 +391,21 @@ class FJPolyMachine(FJFlatMachine):
 def run_flat_policy(machine: FJFlatMachine, display: str,
                     parameter: int, budget: Budget | None = None,
                     plain: bool = False,
-                    specialized: bool = True,
-                    codegen: bool = True) -> FJResult:
+                    tier: str = DEFAULT_TIER) -> FJResult:
     """Drive one flat FJ machine to fixpoint and package the result —
     the single run harness behind every flat-machine analysis
     (``fj-poly``, ``fj-mcfa``, ``fj-hybrid``, ``fj-obj``).
 
-    ``specialized`` routes the machine through the specialization
-    stage first: receiver-insensitive context-free policies get the
-    per-statement compiled step loop, everything else runs generic.
-    ``codegen`` lifts the covered policies one rung further to
-    generated source (:mod:`repro.analysis.codegen`); it only engages
-    on top of specialization.
+    ``tier`` (:data:`~repro.analysis.engine.TIERS`) picks the step
+    loop.  Receiver-insensitive context-free policies have all three:
+    ``specialized`` is the per-statement compiled loop and
+    ``codegen`` generated source (:mod:`repro.analysis.codegen`);
+    every other policy runs generic whatever the tier.
     """
     from repro.analysis.interning import PlainTable
-    staged = codegen_stage(machine, specialized and codegen)
+    staged = codegen_stage(machine, tier == "codegen")
     machine = staged if staged is not None \
-        else specialize(machine, specialized)
+        else specialize(machine, tier != "generic")
     run = run_single_store(
         machine, _FJRecorder(),
         EngineOptions(budget=budget,
@@ -422,9 +420,7 @@ def analyze_fj_poly(program: FJProgram, k: int = 1,
                     tick_policy: str = "invocation",
                     budget: Budget | None = None,
                     plain: bool = False,
-                    specialized: bool = True,
-                    codegen: bool = True) -> FJResult:
+                    tier: str = DEFAULT_TIER) -> FJResult:
     """Run the collapsed polynomial OO k-CFA."""
     return run_flat_policy(FJPolyMachine(program, k, tick_policy),
-                           "FJ-poly-k-CFA", k, budget, plain,
-                           specialized, codegen)
+                           "FJ-poly-k-CFA", k, budget, plain, tier)

@@ -186,8 +186,6 @@ class ServiceClient:
                context: int = 1, simplify: bool = False,
                report: str = "all", values: str = "interned",
                timeout: float | None = None,
-               specialize: bool = True,
-               codegen: bool = True,
                session: bool = False,
                on_event=None,
                busy_retries: int = BUSY_RETRIES) -> dict:
@@ -206,16 +204,10 @@ class ServiceClient:
         base: dict = {"op": "submit", "analysis": analysis,
                       "context": context, "simplify": simplify,
                       "report": report, "values": values}
-        if not specialize:
-            # Only sent when non-default: older servers reject unknown
-            # submit fields strictly, so the default-True case must
-            # stay wire-compatible with them.
-            base["specialize"] = False
-        if not codegen:
-            # Same wire-compatibility rule as specialize.
-            base["codegen"] = False
         if session:
-            # Same wire-compatibility rule as specialize.
+            # Only sent when set: older servers reject unknown submit
+            # fields strictly, so the default case must stay
+            # wire-compatible with them.
             base["session"] = True
         if source is not None:
             base["source"] = source
@@ -246,8 +238,7 @@ class ServiceClient:
               source: str | None = None, path: str | None = None,
               analysis: str = "mcfa", context: int = 1,
               simplify: bool = False, values: str = "interned",
-              timeout: float | None = None, specialize: bool = True,
-              codegen: bool = True,
+              timeout: float | None = None,
               on_event=None,
               busy_retries: int = BUSY_RETRIES) -> dict:
         """One client query; the ``done`` event carries ``answer``.
@@ -269,12 +260,6 @@ class ServiceClient:
         base["context"] = context
         base["simplify"] = simplify
         base["values"] = values
-        if not specialize:
-            # Only sent when non-default (same wire-compatibility
-            # rule as submit).
-            base["specialize"] = False
-        if not codegen:
-            base["codegen"] = False
         if source is not None:
             base["source"] = source
         if path is not None:

@@ -5,8 +5,8 @@ task pool: the whole point of consistent-hash routing
 (:mod:`repro.service.sharding`) is that the *same* worker sees the
 same program again, and that only pays off if the worker survives
 between jobs, keeping its :class:`~repro.cache.ProgramCache` of
-compiled ``Program`` objects (with the structural plans the
-specializer cached on them) warm across submissions.
+compiled ``Program`` objects and its generated step modules warm
+across submissions.
 
 Threading model (the part that has to be right):
 
@@ -27,6 +27,11 @@ Threading model (the part that has to be right):
 * Exactly-once death reporting: a dead worker fires ``on_death`` once,
   and never during :meth:`WorkerFleet.stop` (shutdown is not an
   outage).
+* Shutdown is ordered (:meth:`WorkerFleet.stop`): every sender
+  forwards the ``None`` stop sentinel before any pipe is closed.
+  Closing the parent's end is *not* a stop signal: the pump thread's
+  ``wait`` on that end keeps the socket open, so the child would
+  never see EOF.
 
 Workers use the ``forkserver`` start method where available (fork
 from a single-threaded helper — forking the threaded, asyncio-running
@@ -39,7 +44,13 @@ import multiprocessing
 import os
 import queue
 import threading
+import time
 from multiprocessing.connection import wait as _wait_connections
+
+
+#: How long :meth:`WorkerFleet.stop` lets workers finish the job in
+#: hand before killing them.
+STOP_GRACE_SECONDS = 2.0
 
 
 def _fleet_context():
@@ -52,8 +63,8 @@ def _fleet_context():
 def _worker_main(conn, worker_id: str,
                  codegen_dir=None) -> None:
     """The worker child's whole life: recv a kind-tagged request, run
-    it warm, send the row back with cumulative stats.  Exits on pipe
-    EOF (parent closed its end — the clean shutdown signal) or a
+    it warm, send the row back with cumulative stats.  Exits on the
+    ``None`` stop sentinel (the clean shutdown signal), pipe EOF or a
     broken pipe.
 
     Request kinds (see :meth:`WorkerFleet.dispatch`):
@@ -66,7 +77,10 @@ def _worker_main(conn, worker_id: str,
     * ``("query", ticket, session_id, kind, target)`` — point query.
 
     Session state lives here, in the worker, next to the program
-    cache it pins — the parent only routes by session id.
+    cache it pins — the parent only routes by session id.  Jobs run
+    the ``codegen`` engine tier (``run_job`` with the worker's
+    program cache), so each program's generated module is emitted
+    and compiled once and reused by every later job here.
     """
     from repro.cache import CodegenCache, ProgramCache
     from repro.analysis.codegen import (
@@ -110,9 +124,9 @@ def _worker_main(conn, worker_id: str,
             row = run_job(message[2], programs=programs)
         jobs_done += 1
         # A program-cache hit reuses the compiled Program *object*,
-        # and with it every structural plan the specializer already
-        # built and cached on it — that is the warm-worker win the
-        # sharding tests observe.
+        # and with it every plan the engine tiers already built and
+        # cached on it — that is the warm-worker win the sharding
+        # tests observe.
         if row.get("warm"):
             plans_reused += 1
         stats = {"jobs": jobs_done, "plans_reused": plans_reused,
@@ -133,6 +147,7 @@ class WorkerHandle:
         self.process = process
         self.conn = conn
         self.outbox: queue.Queue = queue.Queue()
+        self.sender: threading.Thread | None = None
         self.alive = True
         # Cumulative stats as last reported by the worker (updated by
         # the pump thread; plain int reads are safe cross-thread).
@@ -193,35 +208,51 @@ class WorkerFleet:
             child_conn.close()  # the child's copy lives in the child
             handle = WorkerHandle(worker_id, process, parent_conn)
             self._handles[worker_id] = handle
-            for target in (self._sender, self._pump):
-                thread = threading.Thread(
-                    target=target, args=(handle,), daemon=True,
-                    name=f"repro-{worker_id}-{target.__name__}")
+            threads = [threading.Thread(
+                target=target, args=(handle,), daemon=True,
+                name=f"repro-{worker_id}-{target.__name__}")
+                for target in (self._sender, self._pump)]
+            handle.sender = threads[0]
+            for thread in threads:
                 thread.start()
-                self._threads.append(thread)
+            self._threads += threads
         return self
 
     def stop(self) -> None:
-        """Retire every worker: close the pipes (the child's EOF
-        signal), give each a moment to exit, then force the rest."""
+        """Retire every worker, in order: queued requests are dropped
+        and each sender forwards the ``None`` stop sentinel; once the
+        senders are done the workers are joined (a worker finishes
+        the job in hand, then exits 0), and only then are the pipes
+        closed.  A worker still alive :data:`STOP_GRACE_SECONDS`
+        after the stop began is killed."""
         with self._lock:
             if self._stopping:
                 return
             self._stopping = True
-        for handle in self._handles.values():
-            handle.outbox.put(None)  # unblock + retire the sender
-        for handle in self._handles.values():
+        deadline = time.monotonic() + STOP_GRACE_SECONDS
+        handles = list(self._handles.values())
+        for handle in handles:
             try:
-                handle.conn.close()
-            except OSError:
+                while True:
+                    handle.outbox.get_nowait()
+            except queue.Empty:
                 pass
-            handle.process.join(timeout=2.0)
+            handle.outbox.put(None)  # forwarded, then the sender exits
+        for handle in handles:
+            handle.sender.join(max(0.0, deadline - time.monotonic()))
+        for handle in handles:
+            handle.process.join(max(0.0, deadline - time.monotonic()))
             if handle.process.is_alive():
                 handle.process.kill()
                 handle.process.join(timeout=2.0)
             handle.alive = False
         for thread in self._threads:
             thread.join(timeout=1.0)
+        for handle in handles:
+            try:
+                handle.conn.close()
+            except OSError:
+                pass
 
     # -- parent-side operations ------------------------------------------
 
@@ -262,12 +293,12 @@ class WorkerFleet:
         does."""
         while True:
             item = handle.outbox.get()
-            if item is None:
-                return
             try:
                 handle.conn.send(item)
             except (OSError, BrokenPipeError, ValueError):
                 return  # pump thread owns death reporting
+            if item is None:  # the stop sentinel, now forwarded
+                return
 
     def _pump(self, handle: WorkerHandle) -> None:
         """Deliver results; on death, drain stragglers then report."""

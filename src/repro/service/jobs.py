@@ -28,15 +28,16 @@ Cache-key audit
 :func:`job_cache_key` must cover **every result-affecting option** of
 a job: the exact source text, the analysis name, the context depth,
 ``simplify`` (changes the analyzed term), ``report`` (changes the
-rendered text) and ``values``, ``specialize`` and ``codegen`` (each
-of the plain/interned domains, the specialized/generic step loops and
-the generated/compiled transfer functions produces byte-identical
-reports *today*, but those equivalences are theorems about the
-current code, not the key scheme's business — flipping any of them
-must never return a stale entry).  A batch client query
+rendered text) and ``values`` (the plain and interned domains
+produce byte-identical reports *today*, but that equivalence is a
+theorem about the current code, not the key scheme's business).  The
+engine tier is not a job option at all: it follows from the call
+site (:func:`run_job`), and every tier's result is byte-identical by
+contract — the golden and differential suites gate it, so it stays
+out of the key.  A batch client query
 (``query_kind``/``query_target``) replaces the rendered report with
 the pass's JSON answer, so both fields enter the key — but only when
-set, keeping every pre-existing plain-job key unchanged.  The
+set, so plain-job keys never carry them.  The
 wall-clock ``timeout``
 is deliberately excluded: a completed result does not depend on how
 long it was allowed to take, and timed-out runs are never cached.
@@ -79,26 +80,27 @@ REPORT_CHOICES = ("flow", "inlining", "envs", "all")
 def run_scheme_analysis(program, analysis: str, parameter: int,
                         budget: Budget | None = None,
                         plain: bool = False,
-                        specialize: bool | None = None,
-                        codegen: bool | None = None,
+                        tier: str | None = None,
                         obj_depth: int | None = None):
-    """Dispatch one Scheme analysis via the registry."""
+    """Dispatch one Scheme analysis via the registry.
+
+    ``tier`` overrides the engine tier (``None``: the one-shot
+    default, which never generates source — see
+    :data:`~repro.analysis.engine.TIERS`)."""
     return run_analysis(analysis, program, parameter, budget,
-                        plain=plain, language="scheme",
-                        specialize=specialize, codegen=codegen,
+                        plain=plain, language="scheme", tier=tier,
                         obj_depth=obj_depth)
 
 
 def run_fj_analysis(program, analysis: str, parameter: int,
                     budget: Budget | None = None,
                     plain: bool = False,
-                    specialize: bool | None = None,
-                    codegen: bool | None = None,
+                    tier: str | None = None,
                     obj_depth: int | None = None):
-    """Dispatch one Featherweight Java analysis via the registry."""
+    """Dispatch one Featherweight Java analysis via the registry
+    (``tier`` as in :func:`run_scheme_analysis`)."""
     return run_analysis(analysis, program, parameter, budget,
-                        plain=plain, language="fj",
-                        specialize=specialize, codegen=codegen,
+                        plain=plain, language="fj", tier=tier,
                         obj_depth=obj_depth)
 
 
@@ -154,15 +156,6 @@ class JobSpec:
     report: str = "all"
     values: str = "interned"
     timeout: float | None = None
-    #: Route the run through the per-policy specialization stage
-    #: (byte-identical results either way; False is the
-    #: ``--no-specialize`` escape hatch).
-    specialize: bool = True
-    #: Run covered policies through generated per-node step source
-    #: (byte-identical to the compiled loops; False is the
-    #: ``--codegen off`` escape hatch).  Has no effect when
-    #: ``specialize`` is off — codegen rides on specialization.
-    codegen: bool = True
     #: Batch client query (see :mod:`repro.analysis.clients`): when
     #: ``query_kind`` is set the job's stdout is the pass's JSON
     #: answer instead of the rendered reports, and the row carries
@@ -190,13 +183,6 @@ class JobSpec:
         if self.query_kind is not None:
             validate_query(self.query_kind, self.query_target,
                            language=spec.language)
-        if not isinstance(self.specialize, bool):
-            raise UsageError(
-                f"specialize must be a boolean, got "
-                f"{self.specialize!r}")
-        if not isinstance(self.codegen, bool):
-            raise UsageError(
-                f"codegen must be a boolean, got {self.codegen!r}")
         if self.timeout is not None:
             if isinstance(self.timeout, bool) \
                     or not isinstance(self.timeout, (int, float)) \
@@ -214,9 +200,7 @@ def job_cache_key(spec: JobSpec) -> str:
     extra = {"command": "analyze",
              "simplify": spec.simplify,
              "report": spec.report,
-             "values": spec.values,
-             "specialize": spec.specialize,
-             "codegen": spec.codegen}
+             "values": spec.values}
     if spec.query_kind is not None:
         # Only when set: every plain-job key predating the client
         # layer stays byte-identical.
@@ -505,12 +489,19 @@ def run_job(spec: JobSpec, programs=None) -> dict:
     *programs*, when given, is a :class:`repro.cache.ProgramCache` —
     the fleet worker's warm store.  A hit skips parse/CPS/simplify
     and reuses the compiled :class:`Program` object together with the
-    structural plans the specializer cached on it; the row then
-    carries ``warm: True``.  Warm and cold runs are byte-identical
-    (the program is a pure value; plan caches only memoize), which
-    ``tests/test_sharding.py`` pins.  Only successfully compiled
-    programs are ever cached, so a source that fails the front end
-    re-fails identically every time.
+    plans cached on it; the row then carries ``warm: True``.  Only
+    such a warm caller runs the ``codegen`` tier: its generated
+    module is emitted and compiled once per program and reused by
+    every later job on the worker, whereas a one-shot job would pay
+    that ``compile()`` for a single fixpoint — far more than the
+    fixpoint itself on the cheap analyses.  One-shot calls run the
+    default tier.  Warm and cold runs, on any tier, are
+    byte-identical (the program is a pure value; plan caches only
+    memoize), which ``tests/test_sharding.py`` and
+    ``tests/test_specialize.py`` pin; the row's ``engine_path`` says
+    which loop ran.  Only successfully compiled programs are ever
+    cached, so a source that fails the front end re-fails
+    identically every time.
     """
     row = {"analysis": spec.analysis, "context": spec.context,
            "values": spec.values, "pid": os.getpid()}
@@ -536,21 +527,19 @@ def run_job(spec: JobSpec, programs=None) -> dict:
             raise AnalysisTimeout(
                 f"analysis exceeded time budget of "
                 f"{spec.timeout}s", elapsed=budget.elapsed)
+        tier = "codegen" if programs is not None else None
         if language == "fj":
             result = run_fj_analysis(
                 program, spec.analysis, spec.context, budget,
-                plain=spec.values == "plain",
-                specialize=spec.specialize,
-                codegen=spec.codegen)
+                plain=spec.values == "plain", tier=tier)
             row["stdout"] = render_fj_reports(program, result)
         else:
             result = run_scheme_analysis(
                 program, spec.analysis, spec.context, budget,
-                plain=spec.values == "plain",
-                specialize=spec.specialize,
-                codegen=spec.codegen)
+                plain=spec.values == "plain", tier=tier)
             row["stdout"] = render_reports(program, result,
                                            spec.report)
+        row["engine_path"] = result.engine_path
         if spec.query_kind is not None:
             import json
             answer = run_result_query(result, spec.query_kind,

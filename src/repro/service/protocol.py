@@ -102,8 +102,7 @@ OPS = ("submit", "edit", "query", "stats", "analyses", "ping",
 #: analyzing under defaults.
 SUBMIT_FIELDS = frozenset(
     ("op", "id", "source", "path", "analysis", "context", "simplify",
-     "report", "values", "timeout", "specialize", "codegen",
-     "session"))
+     "report", "values", "timeout", "session"))
 
 #: Fields of an ``analyses`` request (same strictness as submit).
 ANALYSES_FIELDS = frozenset(("op", "id", "language"))
@@ -120,7 +119,7 @@ QUERY_SESSION_FIELDS = frozenset(
 #: the job options of the sessionless batch form.
 QUERY_FIELDS = QUERY_SESSION_FIELDS | frozenset(
     ("source", "path", "analysis", "context", "simplify", "values",
-     "timeout", "specialize", "codegen"))
+     "timeout"))
 
 #: Query kinds a session answers (re-exported for wire clients).
 QUERY_KINDS = SESSION_KINDS
@@ -209,14 +208,6 @@ def submit_spec(message: dict) -> JobSpec:
     if not isinstance(simplify, bool):
         raise ProtocolError(
             f"simplify must be a JSON boolean, got {simplify!r}")
-    specialize = message.get("specialize", True)
-    if not isinstance(specialize, bool):
-        raise ProtocolError(
-            f"specialize must be a JSON boolean, got {specialize!r}")
-    codegen = message.get("codegen", True)
-    if not isinstance(codegen, bool):
-        raise ProtocolError(
-            f"codegen must be a JSON boolean, got {codegen!r}")
     spec = JobSpec(
         source=source,
         analysis=message.get("analysis", "mcfa"),
@@ -224,9 +215,7 @@ def submit_spec(message: dict) -> JobSpec:
         simplify=simplify,
         report=message.get("report", "all"),
         values=message.get("values", "interned"),
-        timeout=message.get("timeout"),
-        specialize=specialize,
-        codegen=codegen)
+        timeout=message.get("timeout"))
     try:
         return spec.validate()
     except ProtocolError:
@@ -352,14 +341,6 @@ def query_job_spec(message: dict) -> JobSpec:
     if not isinstance(simplify, bool):
         raise ProtocolError(
             f"simplify must be a JSON boolean, got {simplify!r}")
-    specialize = message.get("specialize", True)
-    if not isinstance(specialize, bool):
-        raise ProtocolError(
-            f"specialize must be a JSON boolean, got {specialize!r}")
-    codegen = message.get("codegen", True)
-    if not isinstance(codegen, bool):
-        raise ProtocolError(
-            f"codegen must be a JSON boolean, got {codegen!r}")
     spec = JobSpec(
         source=source,
         analysis=message.get("analysis", "mcfa"),
@@ -367,8 +348,6 @@ def query_job_spec(message: dict) -> JobSpec:
         simplify=simplify,
         values=message.get("values", "interned"),
         timeout=message.get("timeout"),
-        specialize=specialize,
-        codegen=codegen,
         query_kind=kind,
         query_target=target)
     try:

@@ -15,7 +15,7 @@ jobs flow through three tiers, cheapest first:
 3. **the worker fleet** — otherwise the job is routed by consistent
    hash of its cache key (:mod:`repro.service.sharding`) to one
    long-lived worker, which keeps compiled programs and their
-   specialization plans warm across jobs, and runs each under the
+   generated step modules warm across jobs, and runs each under the
    job's cooperative wall-clock :class:`~repro.util.budget.Budget`.
 
 Identical means *same cache key and same budget*: the cache key
@@ -161,8 +161,6 @@ class AnalysisServer:
                  socket_path: str | None = None,
                  workers: int | None = None, cache=None,
                  default_timeout: float | None = 60.0,
-                 specialize: bool = True,
-                 codegen: bool = True,
                  codegen_dir=None,
                  max_queue: int = DEFAULT_MAX_QUEUE):
         self.host = host
@@ -171,16 +169,10 @@ class AnalysisServer:
         self.workers = max(1, workers or os.cpu_count() or 1)
         self.cache = cache
         self.default_timeout = default_timeout
-        #: Server-wide specialization override: with ``serve
-        #: --no-specialize`` every job runs the generic step loop,
-        #: whatever the request says (results are byte-identical, so
-        #: this is an operational escape hatch, not a semantic knob).
-        self.specialize = specialize
-        #: Server-wide codegen override, same contract: ``serve
-        #: --codegen off`` pins every job to the compiled loops.
-        self.codegen = codegen
         #: Where fleet workers keep generated modules (``--cache-dir``
         #: relocates it beside the result cache; None = the default).
+        #: Workers run the ``codegen`` engine tier: they reuse each
+        #: generated module across jobs, which one-shot runs cannot.
         self.codegen_dir = codegen_dir
         self.max_queue = max(1, max_queue)
         self._inflight = InflightTable()
@@ -482,10 +474,6 @@ class AnalysisServer:
             return
         if spec.timeout is None and self.default_timeout is not None:
             spec = replace(spec, timeout=self.default_timeout)
-        if not self.specialize and spec.specialize:
-            spec = replace(spec, specialize=False)
-        if not self.codegen and spec.codegen:
-            spec = replace(spec, codegen=False)
         key = job_cache_key(spec)
         self._jobs["submitted"] += 1
         send({"event": "queued", "job": job_id, "key": key})
@@ -693,10 +681,6 @@ class AnalysisServer:
             return
         if spec.timeout is None and self.default_timeout is not None:
             spec = replace(spec, timeout=self.default_timeout)
-        if not self.specialize and spec.specialize:
-            spec = replace(spec, specialize=False)
-        if not self.codegen and spec.codegen:
-            spec = replace(spec, codegen=False)
         key = job_cache_key(spec)
         self._jobs["submitted"] += 1
         self._jobs["queries"] += 1

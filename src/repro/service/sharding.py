@@ -5,9 +5,10 @@ to one long-lived worker process by consistent hash of its
 ``job_cache_key``, so repeat submissions of the same program land on
 the *same* worker — whose in-memory
 :class:`~repro.cache.ProgramCache` then still holds the compiled
-:class:`~repro.cps.program.Program` (and the structural plans
-:mod:`repro.analysis.specialize` cached on it), turning a result-cache
-miss into a warm run that skips parse/CPS/boot entirely.
+:class:`~repro.cps.program.Program` (and the plans the engine tiers
+cached on it) and the program's generated step module, turning a
+result-cache miss into a warm run that skips parse/CPS/codegen
+entirely.
 
 :class:`HashRing` is the classic construction: each node is hashed
 onto the ring at :data:`REPLICAS` virtual points, and a key belongs to

@@ -12,8 +12,9 @@ from repro.scheme.cps_transform import compile_program
 def _memory_codegen_cache():
     """Keep the codegen default cache memory-only during tests.
 
-    Analyses run with codegen on by default; without this every test
-    process would write generated modules into the developer's real
+    Worker-path jobs (``run_job`` with a program cache) and every
+    ``tier="codegen"`` run generate step modules; without this a test
+    process would write them into the developer's real
     ``~/.cache/repro/codegen``.  Memory-only keeps runs hermetic
     while still exercising the cache lookup path.  Tests that want a
     disk-backed cache install their own via

@@ -7,7 +7,8 @@ import json
 import pytest
 
 from repro.benchsuite.runner import (
-    BenchTask, build_matrix, default_programs, run_batch, run_task,
+    QUICK_ANALYSES, QUICK_CONTEXTS, QUICK_PROGRAMS, BenchTask,
+    build_matrix, default_programs, run_batch, run_task,
 )
 from repro.errors import ReproError
 
@@ -51,20 +52,6 @@ class TestMatrix:
         names = default_programs()
         assert "eta" in names and "pairs" in names
 
-    def test_specialize_axis_doubles_the_matrix(self):
-        tasks = build_matrix(["eta"], ["zero"], [0],
-                             specialize=["on", "off"])
-        assert [task.specialize for task in tasks] == ["on", "off"]
-        # Distinct task ids so a one-report before/after matrix keeps
-        # deterministic row order.
-        assert [task.task_id for task in tasks] == \
-            ["eta:zero(0)", "eta:zero(0)[generic]"]
-
-    def test_unknown_specialize_mode_rejected(self):
-        with pytest.raises(ReproError, match="specialize"):
-            build_matrix(["eta"], ["zero"], [0],
-                         specialize=["sometimes"])
-
     def test_obj_depth_axis_expands_the_hybrid_ladder(self):
         tasks = build_matrix(["pairs"], ["fj-hybrid"], [1],
                              obj_depths=[0, 2, 1])
@@ -83,7 +70,7 @@ class TestMatrix:
     def test_fj_chain_task_runs(self):
         row = run_task(BenchTask("fjchain5", "fj-poly", 0))
         assert row["status"] == "ok"
-        assert row["engine_path"] == "codegen:zero-fj-flat"
+        assert row["engine_path"] == "specialized:zero-fj-flat"
 
     def test_fj_random_ladder_is_an_fj_program(self):
         tasks = build_matrix(["fjrand42"], ["fj-poly", "zero"], [0])
@@ -159,42 +146,16 @@ class TestRunTask:
         assert "k must be non-negative" in row["error"]
 
     def test_rows_record_which_engine_path_ran(self):
-        codegen = run_task(BenchTask("eta", "zero", 0))
-        compiled = run_task(BenchTask("eta", "zero", 0,
-                                      codegen="off"))
-        generic = run_task(BenchTask("eta", "zero", 0,
-                                     specialize="off"))
-        assert codegen["engine_path"] == "codegen:zero-flat"
-        assert codegen["specialize"] == "on"
-        assert codegen["codegen"] == "on"
-        assert compiled["engine_path"] == "specialized:zero-flat"
-        assert compiled["codegen"] == "off"
-        assert generic["engine_path"] == "generic"
-        assert generic["specialize"] == "off"
-        # Byte-identity across paths: every result column agrees —
-        # only timing, pid and the path labels may differ.
-        volatile = ("pid", "wall_seconds", "elapsed", "specialize",
-                    "codegen", "engine_path", "task")
-        strip = lambda row: {key: value for key, value in row.items()
-                             if key not in volatile}
-        assert strip(codegen) == strip(compiled)
-        assert strip(codegen) == strip(generic)
-
-    def test_codegen_axis_rides_on_specialization(self):
-        tasks = build_matrix(["eta"], ["zero"], [0],
-                             specialize=["on", "off"],
-                             codegen=["on", "off"])
-        assert [(task.specialize, task.codegen)
-                for task in tasks] == \
-            [("on", "on"), ("on", "off"), ("off", "off")]
-        assert [task.task_id for task in tasks] == \
-            ["eta:zero(0)", "eta:zero(0)[nocodegen]",
-             "eta:zero(0)[generic]"]
-
-    def test_unknown_codegen_mode_rejected(self):
-        with pytest.raises(ReproError, match="codegen"):
-            build_matrix(["eta"], ["zero"], [0],
-                         codegen=["sometimes"])
+        """Bench cells are one-shot runs: the default tier, which
+        never generates source."""
+        paths = {analysis: run_task(BenchTask(program, analysis,
+                                              context))["engine_path"]
+                 for program, analysis, context in (
+                     ("eta", "zero", 0), ("eta", "mcfa", 1),
+                     ("eta", "kcfa", 1), ("pairs", "fj-poly", 0))}
+        assert paths == {"zero": "generic", "mcfa": "generic",
+                         "kcfa": "specialized:shared",
+                         "fj-poly": "specialized:zero-fj-flat"}
 
     def test_opted_out_spec_reports_generic_even_when_asked(self):
         row = run_task(BenchTask("eta", "kcfa-naive", 1))
@@ -247,3 +208,41 @@ class TestRunBatch:
         run_batch(tasks, serial=True, progress=lines.append)
         assert len(lines) == len(tasks)
         assert lines[0].startswith("[1/2] ")
+
+
+class TestEngineTiers:
+    """The ``bench --quick`` cells through every engine tier: codegen,
+    specialized and generic must agree on every result column —
+    ``steps`` included — and on the rendered report bytes."""
+
+    @pytest.mark.parametrize(
+        "task", build_matrix(QUICK_PROGRAMS, QUICK_ANALYSES,
+                             QUICK_CONTEXTS),
+        ids=lambda task: task.task_id)
+    def test_quick_cells_identical_across_tiers(self, task):
+        from repro.analysis.engine import TIERS
+        from repro.analysis.registry import registry
+        from repro.benchsuite.runner import task_source
+        from repro.service.jobs import (
+            render_fj_reports, render_reports, run_fj_analysis,
+            run_scheme_analysis,
+        )
+        source = task_source(task)
+        if registry().get(task.analysis).language == "fj":
+            from repro.fj import parse_fj
+            program = parse_fj(source)
+            run, render = run_fj_analysis, render_fj_reports
+        else:
+            from repro.scheme.cps_transform import compile_program
+            program = compile_program(source)
+            run, render = run_scheme_analysis, render_reports
+        outcomes = {}
+        for tier in TIERS:
+            result = run(program, task.analysis, task.parameter,
+                         tier=tier)
+            summary = result.summary()
+            del summary["elapsed"]
+            outcomes[tier] = (summary, render(program, result))
+        assert outcomes["codegen"] == outcomes["specialized"]
+        assert outcomes["specialized"] == outcomes["generic"]
+

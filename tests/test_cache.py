@@ -161,9 +161,7 @@ class TestJobKeyAudit:
                                   ("context", 2),
                                   ("simplify", True),
                                   ("report", "flow"),
-                                  ("values", "plain"),
-                                  ("specialize", False),
-                                  ("codegen", False)]:
+                                  ("values", "plain")]:
             changed = replace(base, **{field_name: other})
             assert job_cache_key(changed) != job_cache_key(base), \
                 f"{field_name} is not part of the cache key"
@@ -189,8 +187,7 @@ class TestJobKeyAudit:
         assert job_cache_key(spec) == cache_key(
             "(f 1)", "kcfa", 1,
             {"command": "analyze", "simplify": False,
-             "report": "all", "values": "interned",
-             "specialize": True, "codegen": True})
+             "report": "all", "values": "interned"})
 
 
 class TestValuesDomainRegression:

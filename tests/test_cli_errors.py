@@ -192,32 +192,6 @@ class TestObjDepth:
             analyze_fj_hybrid(program, -1)
 
 
-class TestSpecializeFlags:
-    def test_conflicting_specialize_flags_exit_2(self, capsys):
-        code = main(["bench", "--programs", "eta", "--analyses",
-                     "zero", "--specialize", "on,off",
-                     "--no-specialize", "--output", "-"])
-        assert code == 2
-        assert "--no-specialize" in _error_line(capsys)
-
-    def test_explicit_on_with_no_specialize_exits_2(self, capsys):
-        # An explicit `--specialize on` must not be silently ignored
-        # in favor of --no-specialize; any pairing of the two flags
-        # is rejected.
-        code = main(["bench", "--programs", "eta", "--analyses",
-                     "zero", "--specialize", "on",
-                     "--no-specialize", "--output", "-"])
-        assert code == 2
-        assert "--no-specialize" in _error_line(capsys)
-
-    def test_unknown_specialize_mode_exits_2(self, capsys):
-        code = main(["bench", "--programs", "eta", "--analyses",
-                     "zero", "--specialize", "sometimes",
-                     "--output", "-"])
-        assert code == 2
-        assert "specialize" in _error_line(capsys)
-
-
 class TestHierarchy:
     def test_usage_error_is_a_repro_error(self):
         # Service clients catching ReproError keep working.

@@ -457,3 +457,45 @@ class TestWorkerSessions:
         assert row["status"] == "error"
         assert "does not support sessions" in row["error"]
         assert len(sessions) == 0
+
+    def test_zero_session_reports_like_a_cold_run(self, tmp_path,
+                                                  capsys):
+        """A depth-1 ``zero`` session names its analysis and depth
+        from the registry, as a cold run does: ``0CFA(0)``."""
+        from repro.__main__ import main
+        sessions = WorkerSessions()
+        opened = sessions.create("z", self._spec(analysis="zero"))
+        assert opened["status"] == "ok"
+        edited = SOURCE.replace("4", "5")
+        row = sessions.edit("z", edited, 60.0)
+        assert row["status"] == "ok"
+        path = tmp_path / "edited.scm"
+        path.write_text(edited, encoding="utf-8")
+        assert main(["analyze", str(path), "--analysis", "zero",
+                     "-n", "1"]) == 0
+        assert row["stdout"] == capsys.readouterr().out
+
+    def test_near_zero_timeout_bounds_the_render_pass(self):
+        """The resumed fixpoint of this edit is shorter than the
+        budget's check interval, so only the render pass — which
+        re-steps every reachable configuration — can notice the
+        expired budget; it must, and promptly."""
+        import time
+        from repro.util.budget import Budget
+        before = wide_source(arms=40, target=3)
+        after = before.replace("(g39 3)", "(g39 4)")
+        unbounded = AnalysisSession(compile_program(before), "kcfa", 1)
+        outcome = unbounded.edit(compile_program(after))
+        assert outcome.mode == "resumed"
+        interval = Budget().check_every
+        assert outcome.result.steps < interval \
+            < outcome.result.steps + len(unbounded.state.seen)
+        sessions = WorkerSessions()
+        assert sessions.create("s1", self._spec(source=before))[
+            "status"] == "ok"
+        started = time.perf_counter()
+        row = sessions.edit("s1", after, 1e-9)
+        assert time.perf_counter() - started < 2.0
+        assert row["status"] == "timeout"
+        assert row["session_dropped"] is True
+        assert len(sessions) == 0

@@ -243,9 +243,10 @@ class TestMachinery:
         spec = registry().get("pushdown")
         assert spec.specialized is False
         assert spec.env_rep == "summary"
+        assert spec.codegen is False
         program = compile_program(IDENTITY)
-        forced = spec.run(program, 1, specialize=True)
-        declined = spec.run(program, 1, specialize=False)
+        forced = spec.run(program, 1, tier="codegen")
+        declined = spec.run(program, 1, tier="generic")
         assert forced.engine_path == declined.engine_path == "generic"
         assert render_reports(program, forced) == \
             render_reports(program, declined)

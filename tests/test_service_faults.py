@@ -221,6 +221,37 @@ class TestTimeoutsNeverCached:
             server.stop()
 
 
+class TestShutdown:
+    """Stopping an idle fleet is graceful and fast: every worker gets
+    the stop sentinel and exits 0 on its own — none waits out a join
+    timeout and gets killed."""
+
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    def test_idle_fleet_stops_fast_and_clean(self, workers):
+        server = AnalysisServer(port=0, workers=workers).start()
+        fleet = server._fleet
+        try:
+            # One job straight to each worker, so every worker has
+            # booted and gone idle before the stop is timed.
+            spec = JobSpec(source=FAST_SOURCE, analysis="zero",
+                           context=0, timeout=60.0)
+            for ticket, worker_id in enumerate(fleet.live_workers()):
+                assert fleet.dispatch(worker_id, ("job", -1 - ticket,
+                                                  spec))
+            assert _wait(lambda: all(row["jobs"] == 1
+                                     for row in fleet.stats_rows()))
+            handles = [fleet.handle(worker_id)
+                       for worker_id in fleet.live_workers()]
+        except BaseException:
+            server.stop()
+            raise
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 1.0
+        assert [handle.process.exitcode for handle in handles] \
+            == [0] * workers
+
+
 class TestStressHarness:
     def test_small_campaign_is_loss_free(self):
         from repro.service.stress import run_stress

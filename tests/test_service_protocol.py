@@ -336,32 +336,23 @@ class TestAnalysesOp:
         assert rows["kcfa-naive"]["specialized"] is False
 
 
-class TestSubmitSpecialize:
-    def test_specialize_must_be_a_real_boolean(self):
-        with pytest.raises(ProtocolError, match="specialize"):
+class TestTierIsNotOnTheWire:
+    """The engine tier follows from where a job runs, not from the
+    request: the old ``specialize``/``codegen`` fields are unknown
+    fields now, and fail loudly like any typo."""
+
+    @pytest.mark.parametrize("field", ("specialize", "codegen"))
+    def test_tier_fields_are_unknown_submit_fields(self, field):
+        with pytest.raises(ProtocolError, match=f"unknown.*{field}"):
             submit_spec({"op": "submit", "source": SOURCE,
-                         "specialize": "yes"})
+                         field: False})
 
-    def test_specialize_false_reaches_the_spec(self):
-        spec = submit_spec({"op": "submit", "source": SOURCE,
-                            "specialize": False})
-        assert spec.specialize is False
-
-    def test_server_no_specialize_overrides_requests(self):
-        """A --no-specialize server runs (and caches) every job on
-        the generic path, whatever the request asked."""
-        from repro.service.client import ServiceClient
-        from repro.service.server import AnalysisServer
-        server = AnalysisServer(port=0, workers=1,
-                                specialize=False).start()
-        try:
-            with ServiceClient(port=server.port) as client:
-                final = client.submit(source=SOURCE, analysis="zero",
-                                      context=0, timeout=60.0)
-            assert final["status"] == "ok"
-            assert "0CFA" in final["stdout"]
-        finally:
-            server.stop()
+    @pytest.mark.parametrize("field", ("specialize", "codegen"))
+    def test_tier_fields_are_unknown_query_fields(self, field):
+        from repro.service.protocol import query_job_spec
+        with pytest.raises(ProtocolError, match=f"unknown.*{field}"):
+            query_job_spec({"op": "query", "kind": "mono",
+                            "source": SOURCE, field: False})
 
 
 class TestLeaderDisconnect:

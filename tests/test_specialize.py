@@ -1,18 +1,20 @@
-"""Differential suite: specialized vs. generic engine, byte for byte.
+"""Differential suite: the engine tiers, byte for byte.
 
-The per-policy specialization stage (:mod:`repro.analysis.specialize`)
-promises more than equal fixpoints — it promises the *same
-trajectory*: identical rendered reports, identical step counts and
-identical reachable-configuration sets, across every registered
-analysis and both value domains.  That is what lets CI diff whole
-bench reports between ``--no-specialize`` and the default path, and
-what the ``specialized=True`` registry knob asserts.
+Every engine tier (:data:`repro.analysis.engine.TIERS`: generic,
+specialized, codegen) promises more than equal fixpoints — it
+promises the *same trajectory*: identical rendered reports, identical
+step counts and identical reachable-configuration sets, across every
+registered analysis and both value domains.  The tier is picked by
+the call site (one-shot runs take ``specialized``, warm fleet workers
+``codegen``), so the suite selects it through the run functions'
+``tier`` keyword.
 
 The harness here is the enforcement: ``run_both`` executes one
-analysis twice (generic, then specialized) and
-``assert_identical`` compares everything observable.  A spec that
-registers ``specialized=True`` but diverges fails this suite — the
-final test proves the harness actually catches such an impostor.
+analysis twice (generic, then specialized), ``run_codegen_both``
+(specialized, then codegen), and ``assert_identical`` compares
+everything observable.  A staged machine that diverges fails this
+suite — the impostor test proves the harness actually catches one.
+The last section pins which tier each call site gets.
 """
 
 from __future__ import annotations
@@ -30,51 +32,54 @@ SCHEME_SPECS = registry().specs("scheme")
 FJ_SPECS = registry().specs("fj")
 VALUE_MODES = ("interned", "plain")
 
-#: Engine paths the stage is expected to pick per analysis (context
-#: depth 0 vs. depth >= 1) — pinned so a refactor cannot silently
-#: stop specializing an analysis while this suite vacuously passes.
+#: Engine paths per analysis and context depth, as
+#: ``(default tier, codegen tier)`` — pinned so a refactor cannot
+#: silently stop staging an analysis while this suite vacuously
+#: passes.  The default (one-shot) tier never generates source.
 EXPECTED_PATHS = {
-    ("zero", 0): "codegen:zero-flat",
-    ("mcfa", 0): "codegen:zero-flat",
-    ("poly", 0): "codegen:zero-flat",
-    ("mcfa", 1): "codegen:flat",
-    ("poly", 1): "codegen:flat",
-    ("kcfa", 1): "specialized:shared",
-    ("kcfa-naive", 1): "generic",
-    ("kcfa-gc", 1): "generic",
-    ("pushdown", 0): "generic",
-    ("pushdown", 1): "generic",
-    ("fj-poly", 0): "codegen:zero-fj-flat",
-    ("fj-poly", 1): "generic",
-    ("fj-mcfa", 1): "generic",
-    ("fj-kcfa", 0): "generic",
+    ("zero", 0): ("generic", "codegen:zero-flat"),
+    ("mcfa", 0): ("generic", "codegen:zero-flat"),
+    ("poly", 0): ("generic", "codegen:zero-flat"),
+    ("mcfa", 1): ("generic", "codegen:flat"),
+    ("poly", 1): ("generic", "codegen:flat"),
+    ("kcfa", 1): ("specialized:shared", "specialized:shared"),
+    ("kcfa-naive", 1): ("generic", "generic"),
+    ("kcfa-gc", 1): ("generic", "generic"),
+    ("pushdown", 0): ("generic", "generic"),
+    ("pushdown", 1): ("generic", "generic"),
+    ("fj-poly", 0): ("specialized:zero-fj-flat", "codegen:zero-fj-flat"),
+    ("fj-poly", 1): ("generic", "generic"),
+    ("fj-mcfa", 1): ("generic", "generic"),
+    ("fj-kcfa", 0): ("generic", "generic"),
 }
 
-#: What the same cells run when codegen is off: the compiled
-#: specialized loops — pinned so the escape hatch stays an escape
-#: hatch (and so codegen cannot silently become load-bearing).
+#: What the codegen-covered cells run one tier down, where codegen is
+#: off: the staged loop where one exists, else the generic kernel —
+#: pinned so codegen cannot silently become load-bearing.
 EXPECTED_NOCODEGEN_PATHS = {
-    ("zero", 0): "specialized:zero-flat",
-    ("mcfa", 1): "specialized:flat",
+    ("zero", 0): "generic",
+    ("mcfa", 1): "generic",
     ("fj-poly", 0): "specialized:zero-fj-flat",
 }
 
 
 def test_uncovered_specs_register_the_knob_off():
     """Specs the specializer cannot cover must say so: the analyses
-    listing and the bench axis advertise ``specialized`` truthfully."""
+    listing advertises ``specialized`` truthfully."""
     for name in ("kcfa-gc", "kcfa-naive", "fj-kcfa-gc", "fj-kcfa",
-                 "pushdown"):
+                 "pushdown", "mcfa", "poly", "zero", "fj-mcfa",
+                 "fj-hybrid", "fj-obj"):
         assert registry().get(name).specialized is False, name
+    covered = {spec.name for spec in registry().specs()
+               if spec.specialized}
+    assert covered == {"kcfa", "fj-poly"}
 
 
-def run_both(spec, program, parameter, plain=False, obj_depth=None,
-             codegen=None):
+def run_both(spec, program, parameter, plain=False, obj_depth=None):
     generic = spec.run(program, parameter, plain=plain,
-                       specialize=False, obj_depth=obj_depth)
+                       tier="generic", obj_depth=obj_depth)
     special = spec.run(program, parameter, plain=plain,
-                       specialize=True, obj_depth=obj_depth,
-                       codegen=codegen)
+                       tier="specialized", obj_depth=obj_depth)
     return generic, special
 
 
@@ -179,25 +184,36 @@ def test_random_scheme_programs_identical(seed):
 # -- which path ran -------------------------------------------------------
 
 
+def _tiny_program(spec):
+    if spec.language == "fj":
+        from repro.fj import parse_fj
+        from repro.fj.examples import ALL_EXAMPLES
+        return parse_fj(ALL_EXAMPLES["pairs"])
+    return compile_program("((lambda (x) x) 1)")
+
+
 @pytest.mark.parametrize("key", sorted(EXPECTED_PATHS),
                          ids=lambda key: f"{key[0]}-{key[1]}")
 def test_expected_engine_path(key):
     name, context = key
     spec = registry().get(name)
-    if spec.language == "fj":
-        from repro.fj import parse_fj
-        from repro.fj.examples import ALL_EXAMPLES
-        program = parse_fj(ALL_EXAMPLES["pairs"])
-    else:
-        program = compile_program("((lambda (x) x) 1)")
-    result = spec.run(program, context)
-    assert result.engine_path == EXPECTED_PATHS[key]
+    program = _tiny_program(spec)
+    default, generated = EXPECTED_PATHS[key]
+    assert spec.run(program, context).engine_path == default
+    assert spec.run(program, context, tier="codegen").engine_path \
+        == generated
 
 
 def test_escape_hatch_forces_generic():
     program = compile_program("((lambda (x) x) 1)")
-    result = registry().get("zero").run(program, 0, specialize=False)
+    result = registry().get("kcfa").run(program, 1, tier="generic")
     assert result.engine_path == "generic"
+
+
+def test_unknown_tier_rejected():
+    program = compile_program("((lambda (x) x) 1)")
+    with pytest.raises(ValueError, match="unknown engine tier"):
+        registry().get("zero").run(program, 0, tier="compiled")
 
 
 @pytest.mark.parametrize("key", sorted(EXPECTED_NOCODEGEN_PATHS),
@@ -205,13 +221,7 @@ def test_escape_hatch_forces_generic():
 def test_codegen_escape_hatch_runs_compiled_loops(key):
     name, context = key
     spec = registry().get(name)
-    if spec.language == "fj":
-        from repro.fj import parse_fj
-        from repro.fj.examples import ALL_EXAMPLES
-        program = parse_fj(ALL_EXAMPLES["pairs"])
-    else:
-        program = compile_program("((lambda (x) x) 1)")
-    result = spec.run(program, context, codegen=False)
+    result = spec.run(_tiny_program(spec), context, tier="specialized")
     assert result.engine_path == EXPECTED_NOCODEGEN_PATHS[key]
 
 
@@ -254,9 +264,7 @@ def test_diverging_specialization_fails(monkeypatch):
                         broken)
     program = compile_program(small_sources()["eta"])
     spec = registry().get("zero")
-    # codegen=False: the generated-source tier sits above
-    # specialize_machine and would otherwise bypass the impostor.
-    generic, special = run_both(spec, program, 0, codegen=False)
+    generic, special = run_both(spec, program, 0)
     assert special.engine_path == "specialized:diverging"
     with pytest.raises(AssertionError, match="diverged"):
         assert_identical(
@@ -269,19 +277,21 @@ def test_diverging_specialization_fails(monkeypatch):
 # The generated-source stage (:mod:`repro.analysis.codegen`) makes the
 # same trajectory promise one rung further up: per-node emitted step
 # functions with bit-parallel transfer must be byte- and
-# trajectory-identical to the compiled specialized loops (and hence,
-# transitively, to the generic engine the suite above pins).
+# trajectory-identical to the tier below (the generic kernel for the
+# flat Scheme policies, the compiled loop for fj-poly(0)), and hence,
+# transitively, to the generic engine the suite above pins.
 
 
 CODEGEN_SCHEME_SPECS = [spec for spec in SCHEME_SPECS if spec.codegen]
 
 
 def run_codegen_both(spec, program, parameter, plain=False):
-    """One analysis twice: compiled loops vs. generated source."""
+    """One analysis twice: the specialized tier vs. generated
+    source."""
     compiled = spec.run(program, parameter, plain=plain,
-                        codegen=False)
+                        tier="specialized")
     generated = spec.run(program, parameter, plain=plain,
-                         codegen=True)
+                         tier="codegen")
     return compiled, generated
 
 
@@ -307,7 +317,7 @@ def test_scheme_codegen_byte_identical(name, spec, context, values):
         lambda result: render_reports(program, result),
         context=f"({name}, {spec.name}, n={context}, {values})")
     assert generated.engine_path.startswith("codegen:")
-    assert compiled.engine_path.startswith("specialized:")
+    assert compiled.engine_path == "generic"
 
 
 CODEGEN_FJ_CASES = [
@@ -361,8 +371,8 @@ def test_random_fj_codegen_identical(seed):
 
 def test_codegen_covered_specs_advertise_the_knob():
     """``codegen=True`` in the registry must mean "this suite covers
-    it" — and opted-out specs must say no (the analyses table and the
-    bench axis read these)."""
+    it" — and opted-out specs must say no (the analyses table reads
+    these)."""
     covered = {spec.name for spec in registry().specs()
                if spec.codegen}
     assert covered == {"zero", "mcfa", "poly", "fj-poly"}
@@ -399,11 +409,11 @@ def test_codegen_cache_hits_across_processes_worth_of_state(
     spec = registry().get("zero")
     cache = _disk_codegen_cache(tmp_path)
     try:
-        first = spec.run(program, 0)
+        first = spec.run(program, 0, tier="codegen")
         assert cache.stats.misses == 1 and cache.stats.writes == 1
         rewarmed = CodegenCache(tmp_path / "codegen")
         set_default_codegen_cache(rewarmed)
-        second = spec.run(program, 0)
+        second = spec.run(program, 0, tier="codegen")
         assert rewarmed.stats.hits == 1
         assert rewarmed.stats.misses == 0
         assert render_reports(program, first) \
@@ -423,7 +433,7 @@ def test_stale_schema_module_is_regenerated_not_served(tmp_path):
     spec = registry().get("zero")
     cache = _disk_codegen_cache(tmp_path)
     try:
-        baseline = spec.run(program, 0)
+        baseline = spec.run(program, 0, tier="codegen")
         path = _sole_module_file(cache)
         text = path.read_text(encoding="utf-8")
         assert "SCHEMA = " in text
@@ -431,7 +441,7 @@ def test_stale_schema_module_is_regenerated_not_served(tmp_path):
                                      1), encoding="utf-8")
         stale = CodegenCache(tmp_path / "codegen")
         set_default_codegen_cache(stale)
-        rerun = spec.run(program, 0)
+        rerun = spec.run(program, 0, tier="codegen")
         assert stale.stats.rejected == 1
         assert stale.stats.writes == 1  # regenerated in place
         assert rerun.engine_path == "codegen:zero-flat"
@@ -450,12 +460,12 @@ def test_corrupt_cached_module_is_regenerated_not_a_crash(tmp_path):
     spec = registry().get("zero")
     cache = _disk_codegen_cache(tmp_path)
     try:
-        baseline = spec.run(program, 0)
+        baseline = spec.run(program, 0, tier="codegen")
         path = _sole_module_file(cache)
         path.write_text("def (broken syntax", encoding="utf-8")
         corrupt = CodegenCache(tmp_path / "codegen")
         set_default_codegen_cache(corrupt)
-        rerun = spec.run(program, 0)
+        rerun = spec.run(program, 0, tier="codegen")
         assert corrupt.stats.rejected == 1
         assert rerun.engine_path == "codegen:zero-flat"
         assert render_reports(program, rerun) \
@@ -471,7 +481,7 @@ def test_codegen_prune_drops_stale_schema_entries(tmp_path,
     from repro.analysis.codegen import set_default_codegen_cache
     cache = _disk_codegen_cache(tmp_path)
     try:
-        spec.run(program, 0)
+        spec.run(program, 0, tier="codegen")
         path = _sole_module_file(cache)
         monkeypatch.setattr("repro.cache.CODEGEN_SCHEMA_VERSION",
                             9999)
@@ -480,3 +490,108 @@ def test_codegen_prune_drops_stale_schema_entries(tmp_path,
         assert not path.exists()
     finally:
         set_default_codegen_cache(None)
+
+
+def test_failed_module_write_is_not_a_failed_run(tmp_path,
+                                                  monkeypatch):
+    """A full disk loses only the disk copy: the generated module
+    still runs from memory and the temporary file is cleaned up."""
+    from repro.analysis.codegen import set_default_codegen_cache
+    program = compile_program(small_sources()["eta"])
+    spec = registry().get("zero")
+    cache = _disk_codegen_cache(tmp_path)
+
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+    try:
+        monkeypatch.setattr("repro.cache.os.replace", full_disk)
+        result = spec.run(program, 0, tier="codegen")
+        monkeypatch.undo()
+        assert result.engine_path == "codegen:zero-flat"
+        assert cache.stats.writes == 0
+        assert not list(cache.directory.iterdir())
+        reference = spec.run(program, 0, tier="generic")
+        assert render_reports(program, result) \
+            == render_reports(program, reference)
+    finally:
+        set_default_codegen_cache(None)
+
+
+# -- which tier a call site gets ------------------------------------------
+#
+# Generating and compiling a step module costs far more than a one-shot
+# fixpoint of the cheap analyses, so only a warm worker (run_job with
+# its ProgramCache) runs the codegen tier.  One-shot jobs and
+# ``analyze`` must never reach the emitter or the module cache.
+
+ONE_SHOT_CELLS = [("mcfa", 1), ("poly", 1), ("zero", 1), ("fj-poly", 0)]
+
+
+def _cell_source_and_reference(analysis, context):
+    """The cell's source and its expected report: the golden file for
+    the Scheme cells, the generic tier's report for fj-poly(0)."""
+    from pathlib import Path
+    if analysis == "fj-poly":
+        from repro.fj import parse_fj
+        from repro.fj.examples import ALL_EXAMPLES
+        from repro.service.jobs import run_fj_analysis
+        source = ALL_EXAMPLES["pairs"]
+        program = parse_fj(source)
+        result = run_fj_analysis(program, analysis, context,
+                                 tier="generic")
+        return source, render_fj_reports(program, result)
+    golden = Path(__file__).resolve().parent / "goldens" / \
+        f"eta.{analysis}.{context}.interned.txt"
+    return small_sources()["eta"], golden.read_text(encoding="utf-8")
+
+
+@pytest.fixture
+def codegen_raises(monkeypatch):
+    """Make any use of the emitter or the module cache fail loudly."""
+    from repro.cache import CodegenCache
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a one-shot run reached the codegen tier")
+    monkeypatch.setattr("repro.analysis.codegen.generate_source", boom)
+    monkeypatch.setattr(CodegenCache, "module_for", boom)
+
+
+@pytest.mark.parametrize("analysis,context", ONE_SHOT_CELLS)
+def test_one_shot_job_never_generates_source(analysis, context,
+                                             codegen_raises):
+    from repro.service.jobs import JobSpec, run_job
+    source, reference = _cell_source_and_reference(analysis, context)
+    row = run_job(JobSpec(source=source, analysis=analysis,
+                          context=context))
+    assert row["status"] == "ok", row.get("error")
+    assert row["stdout"] == reference
+    assert not row["engine_path"].startswith("codegen:")
+
+
+@pytest.mark.parametrize("analysis,context", ONE_SHOT_CELLS)
+def test_analyze_cli_never_generates_source(analysis, context,
+                                            codegen_raises, tmp_path,
+                                            capsys):
+    from repro.__main__ import main
+    source, reference = _cell_source_and_reference(analysis, context)
+    path = tmp_path / ("prog.java" if analysis == "fj-poly"
+                       else "prog.scm")
+    path.write_text(source, encoding="utf-8")
+    code = main(["analyze", str(path), "--analysis", analysis,
+                 "-n", str(context),
+                 "--cache-dir", str(tmp_path / "cache")])
+    assert code == 0
+    assert capsys.readouterr().out == reference
+    assert not (tmp_path / "cache" / "codegen").exists()
+
+
+@pytest.mark.parametrize("analysis,context", ONE_SHOT_CELLS)
+def test_worker_job_runs_codegen(analysis, context):
+    from repro.cache import ProgramCache
+    from repro.service.jobs import JobSpec, run_job
+    source, reference = _cell_source_and_reference(analysis, context)
+    row = run_job(JobSpec(source=source, analysis=analysis,
+                          context=context), programs=ProgramCache())
+    assert row["status"] == "ok", row.get("error")
+    assert row["engine_path"].startswith("codegen:")
+    assert row["stdout"] == reference
