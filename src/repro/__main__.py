@@ -264,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--port", type=int, default=7557,
                         help="server TCP port (default 7557)")
     submit.add_argument("--session", action="store_true",
-                        help="open a warm analysis session on the "
+                        help="open an analysis session on the "
                              "worker (prints its id on stderr for "
                              "`repro edit` / `repro query`)")
     submit.add_argument("--list-analyses", action="store_true",
@@ -294,8 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                     "events on stderr")
 
     edit = commands.add_parser(
-        "edit", help="incrementally re-analyze a warm session "
-                     "against an edited source")
+        "edit", help="re-analyze a session from scratch against "
+                     "an edited source")
     edit.add_argument("session",
                       help="the session id a `submit --session` "
                            "printed")
@@ -307,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     query = commands.add_parser(
         "query", help="client-analysis queries: `query SESSION KIND "
-                      "[TARGET]` asks a warm session; `query FILE "
+                      "[TARGET]` asks a session; `query FILE "
                       "--kind KIND` runs a batch pass locally, no "
                       "session or server needed")
     query.add_argument("session", metavar="SESSION|FILE",
@@ -725,12 +725,8 @@ def _cmd_edit(args) -> int:
                             on_event=_event_printer(args))
     if final.get("status") == "ok":
         sys.stdout.write(final["stdout"])
-        mode = final.get("mode", "?")
-        detail = f"({final.get('reason', '')})" if mode == "scratch" \
-            else (f"({final.get('cleared', '?')} addresses cleared, "
-                  f"{final.get('seeds', '?')} seeds, "
-                  f"{final.get('steps', '?')} engine steps)")
-        print(f"session {args.session}: {mode} {detail}",
+        print(f"session {args.session}: re-analyzed "
+              f"({final.get('steps', '?')} engine steps)",
               file=sys.stderr)
         return 0
     print(f"error: {final.get('error', final)}", file=sys.stderr)

@@ -29,7 +29,7 @@ keys numerically in-process but lexicographically after a wire round
 trip, which would break the batch ≡ service byte-identity guarantee).
 
 The three PR-8 *point* queries (``value-of``, ``call-sites-of``,
-``escaping <label>``) also live here, verbatim, so warm
+``escaping <label>``) also live here, verbatim, so
 :class:`~repro.analysis.incremental.AnalysisSession` objects and the
 batch path answer from one implementation.
 """
@@ -45,7 +45,7 @@ __all__ = [
     "run_result_query", "validate_query", "value_of",
 ]
 
-#: Whole-result passes (no warm session required).
+#: Whole-result passes (no session required).
 PASS_KINDS = ("call-graph", "escaping", "mono", "devirt", "inlining")
 
 #: Kinds `python -m repro query --kind ...` (and the sessionless
@@ -53,7 +53,7 @@ PASS_KINDS = ("call-graph", "escaping", "mono", "devirt", "inlining")
 BATCH_KINDS = ("call-graph", "escaping", "mono", "devirt", "inlining",
                "value-of")
 
-#: Kinds a warm session accepts: the PR-8 point queries plus every
+#: Kinds a session accepts: the point queries plus every
 #: pass a Scheme result supports.
 SESSION_KINDS = ("value-of", "call-sites-of", "escaping", "call-graph",
                  "mono", "inlining")

@@ -73,9 +73,8 @@ omit the ``(succ, ())`` tuple itself — the successor is already in
 the engine's seen set, so an empty join list is a no-op.  Omitting
 either skips per-address dict work without touching ``changed`` order
 — which is why trajectories (and ``steps`` counters) stay identical
-to the generic machine.  The one observer that could tell the
-difference is ``EngineOptions.track``'s writers map; tracked runs
-(incremental sessions) always drive generic machines.
+to the generic machine.  The driver observes only joins that grow the
+store, so no run can tell the difference.
 
 **The contract is byte-identity, trajectory included** — the same
 contract :mod:`repro.analysis.specialize` documents.  Generated

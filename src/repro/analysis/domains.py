@@ -342,23 +342,6 @@ class AbsStore:
         self._versions[addr] = self._versions.get(addr, 0) + 1
         self.clock += 1
 
-    def clear_addresses(self, addrs: Iterable[Addr]) -> int:
-        """Drop the flow sets at *addrs* (incremental re-analysis).
-
-        The only non-monotone operation the store admits, and it is
-        reserved for :mod:`repro.analysis.incremental`: a cleared
-        address is one whose surviving writers are about to be
-        re-enqueued, so the removal is repaired by the next fixpoint
-        run.  Version counters are bumped, not reset — an address's
-        version history spans edits.
-        """
-        removed = 0
-        for addr in addrs:
-            if self._map.pop(addr, None) is not None:
-                removed += 1
-                self._grew(addr)
-        return removed
-
     def addresses(self) -> Iterable[Addr]:
         return self._map.keys()
 

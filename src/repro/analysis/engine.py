@@ -135,11 +135,9 @@ def codegen_stage(machine: "Machine", enabled: bool = True,
     cheap analyses — so only the ``codegen`` tier, which warm fleet
     workers request, reaches this stage enabled.
 
-    Note: codegen steps may *omit* joins they prove cannot grow the
-    store, which the single-store driver cannot observe — except
-    through ``options.track``'s writers map.  Tracked runs (the
-    incremental sessions) always drive generic machines, so the
-    stages never meet; keep it that way.
+    Codegen steps may *omit* joins they prove cannot grow the store;
+    the single-store driver only observes joins that grow it, so the
+    omission is invisible to every run.
     """
     if not enabled:
         return None
@@ -175,36 +173,12 @@ class EngineOptions:
       bitset representation (:class:`~repro.analysis.interning.
       ValueTable`); pass :class:`~repro.analysis.interning.PlainTable`
       to run the same machine in the pre-interning object domain.
-    * ``track`` — maintain the write/discovery maps incremental
-      re-analysis needs (:class:`FixpointState` on the run).  Off by
-      default: the extra bookkeeping never perturbs the trajectory,
-      but it costs a dict insert per join and per successor edge.
     """
 
     budget: Budget | None = None
     lifo: bool = False
     collect: Callable[[object, FrozenStore], FrozenStore] | None = None
     table_factory: Callable[[], object] | None = None
-    track: bool = False
-
-
-@dataclass(slots=True)
-class FixpointState:
-    """The dependency graph a tracked single-store run leaves behind.
-
-    :mod:`repro.analysis.incremental` replays this after an edit:
-    ``readers`` says which configurations to re-enqueue when an
-    address is cleared, ``writers`` says which kept configurations
-    must re-derive their contributions to a cleared address, and
-    ``discovered`` (successor → its producers) says which retired
-    configurations may be re-produced by a kept one.  All maps hold
-    the same configuration objects as ``seen``.
-    """
-
-    seen: set = field(default_factory=set)
-    readers: dict = field(default_factory=dict)    # addr → {configs}
-    writers: dict = field(default_factory=dict)    # addr → {configs}
-    discovered: dict = field(default_factory=dict)  # succ → {preds}
 
 
 @dataclass
@@ -226,14 +200,10 @@ class EngineRun(Generic[C]):
     delta_addresses: int = 0         # Σ |delta| over re-visited configs
     recorder: object = None
     states: frozenset = field(default_factory=frozenset)
-    fixpoint: FixpointState | None = None  # only with options.track
 
 
 def run_single_store(machine: Machine, recorder,
-                     options: EngineOptions | None = None,
-                     resume_store: AbsStore | None = None,
-                     resume_state: FixpointState | None = None,
-                     seeds: "list | None" = None) -> EngineRun:
+                     options: EngineOptions | None = None) -> EngineRun:
     """Drive *machine* to fixpoint over one global store (§3.7).
 
     The delta-propagating loop:
@@ -248,46 +218,14 @@ def run_single_store(machine: Machine, recorder,
 
     Raises :class:`~repro.errors.AnalysisTimeout` when the budget is
     exceeded, like every analyzer built on it.
-
-    With ``resume_store``/``resume_state``/``seeds`` the driver
-    restarts *mid-fixpoint* instead of from ⊥: the store and the
-    dependency maps are adopted as-is (the machine is still booted
-    against the store so it re-binds its table-derived constants, but
-    the boot configuration it returns is ignored — the caller chose
-    the seeds), and only the seed configurations are enqueued.  This
-    is the warm path of :mod:`repro.analysis.incremental`; monotone
-    chaotic iteration from a sound intermediate point converges to the
-    same least fixpoint as a cold run.
     """
     options = options or EngineOptions()
     budget = options.budget or Budget()
     budget.ensure_started()
     worklist: DependencyWorklist = DependencyWorklist()
-    if resume_store is not None:
-        store = resume_store
-        machine.boot(store)  # re-bind table constants; config unused
-        state = resume_state or FixpointState()
-        worklist._seen = state.seen
-        worklist._readers = state.readers
-        for seed in seeds or ():
-            if seed not in worklist._pending:
-                worklist._seen.add(seed)
-                worklist._pending.add(seed)
-                worklist._queue.append(seed)
-    else:
-        factory = options.table_factory
-        store = AbsStore(factory() if factory is not None else None)
-        state = FixpointState() if options.track else None
-        worklist.add(machine.boot(store))
-        if state is not None:
-            # The worklist's own seen/readers maps *are* the tracked
-            # state — share them instead of mirroring every insert.
-            state.seen = worklist._seen
-            state.readers = worklist._readers
-    tracking = state is not None
-    if tracking:
-        writers = state.writers
-        discovered = state.discovered
+    factory = options.table_factory
+    store = AbsStore(factory() if factory is not None else None)
+    worklist.add(machine.boot(store))
     # The loop below inlines the worklist's pop/record/add/dirty
     # operations against its internals — the driver and the worklist
     # are one subsystem, and at ~5 bookkeeping operations per transfer
@@ -335,25 +273,12 @@ def run_single_store(machine: Machine, recorder,
         for succ, joins in succs:
             if joins:
                 for addr, mask in joins:
-                    if mask:
-                        if tracking:
-                            addr_writers = writers.get(addr)
-                            if addr_writers is None:
-                                writers[addr] = {config}
-                            else:
-                                addr_writers.add(config)
-                        if join_mask(addr, mask):
-                            changed.append(addr)
+                    if mask and join_mask(addr, mask):
+                        changed.append(addr)
             if succ not in seen:
                 seen.add(succ)
                 pending.add(succ)
                 queue.append(succ)
-            if tracking:
-                preds = discovered.get(succ)
-                if preds is None:
-                    discovered[succ] = {config}
-                else:
-                    preds.add(config)
         for addr in changed:
             for reader in readers.get(addr, ()):
                 if reader not in pending:
@@ -370,8 +295,7 @@ def run_single_store(machine: Machine, recorder,
     return EngineRun(
         store=store, configs=worklist.seen, steps=steps,
         elapsed=elapsed, requeues=worklist.requeue_count,
-        delta_addresses=delta_addresses, recorder=recorder,
-        fixpoint=state)
+        delta_addresses=delta_addresses, recorder=recorder)
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,14 +18,15 @@ quantities the paper's evaluation talks about:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-import networkx
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.cps.program import Program
 from repro.cps.syntax import Lam
 from repro.analysis.domains import AbsStore, AbsVal, FClo, KClo, \
     SClo, SCont
+
+if TYPE_CHECKING:
+    import networkx
 
 
 @dataclass
@@ -131,7 +132,12 @@ class AnalysisResult:
 
     def call_graph(self) -> "networkx.MultiDiGraph":
         """Lambda-level call graph: an edge lam₁ → lam₂ labeled with the
-        call site means lam₁'s body contains a site applying lam₂."""
+        call site means lam₁'s body contains a site applying lam₂.
+
+        ``networkx`` is imported here, not at module level: no job
+        path needs it, and importing it costs more than the rest of
+        the analysis package together."""
+        import networkx
         graph = networkx.MultiDiGraph()
         owner = self._call_owner_map()
         for label, callees in self.callees.items():

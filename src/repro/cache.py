@@ -306,7 +306,6 @@ class ProgramCache:
                              f"{capacity}")
         self.capacity = capacity
         self._entries: dict[tuple, object] = {}  # insertion = LRU order
-        self._pins: dict[tuple, int] = {}  # key → live session count
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -332,35 +331,14 @@ class ProgramCache:
         self._entries.pop(key, None)
         self._entries[key] = program
         while len(self._entries) > self.capacity:
-            victim = next((key for key in self._entries
-                           if not self._pins.get(key)), None)
-            if victim is None:
-                break  # every entry is pinned by a live session
-            del self._entries[victim]
+            del self._entries[next(iter(self._entries))]
             self.evictions += 1
-
-    def pin(self, key: tuple) -> None:
-        """Shield *key* from LRU eviction while a session references
-        it.  Pins nest: each :meth:`pin` needs one :meth:`unpin`."""
-        self._pins[key] = self._pins.get(key, 0) + 1
-
-    def unpin(self, key: tuple) -> None:
-        count = self._pins.get(key, 0) - 1
-        if count > 0:
-            self._pins[key] = count
-        else:
-            self._pins.pop(key, None)
-
-    def pinned(self) -> int:
-        """How many distinct keys are currently pinned."""
-        return len(self._pins)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def as_dict(self) -> dict:
         return {"size": len(self._entries), "capacity": self.capacity,
-                "pinned": len(self._pins),
                 "hits": self.hits, "misses": self.misses,
                 "evictions": self.evictions}
 

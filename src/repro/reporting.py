@@ -222,12 +222,6 @@ def job_event_line(event: dict) -> str:
             " coalesced" if event.get("coalesced") else "")
         if event.get("session"):
             extra = f" session {event['session']}"
-            if event.get("mode"):
-                extra += f" ({event['mode']}"
-                if event.get("mode") == "resumed":
-                    extra += (f": {event.get('cleared', '?')} cleared"
-                              f", {event.get('steps', '?')} steps")
-                extra += ")"
         wall = event.get("wall_seconds")
         timing = f" in {wall:.2f}s" if isinstance(wall, (int, float)) \
             else ""
@@ -271,9 +265,7 @@ def service_stats_report(stats: dict) -> str:
     lines.append(
         f"  sessions: {sessions.get('open', 0)} open "
         f"({jobs.get('sessions', 0)} opened, "
-        f"{jobs.get('edits', 0)} edits — "
-        f"{jobs.get('resumed', 0)} warm-resumed, "
-        f"{jobs.get('scratch', 0)} from scratch — "
+        f"{jobs.get('edits', 0)} edits, "
         f"{jobs.get('queries', 0)} queries)")
     for row in stats.get("fleet") or ():
         state = "alive" if row.get("alive") else "dead"

@@ -222,8 +222,8 @@ class ServiceClient:
              on_event=None,
              busy_retries: int = BUSY_RETRIES) -> dict:
         """Re-analyze *session* against edited source and block until
-        the terminal event; its ``done`` carries ``mode``
-        (``resumed | scratch``) and the resume statistics."""
+        the terminal event; its ``done`` carries the new report and
+        the run's engine ``steps``."""
         base: dict = {"op": "edit", "session": session}
         if source is not None:
             base["source"] = source

@@ -70,17 +70,17 @@ def _worker_main(conn, worker_id: str,
     Request kinds (see :meth:`WorkerFleet.dispatch`):
 
     * ``("job", ticket, spec)`` — one-shot analysis;
-    * ``("session", ticket, session_id, spec)`` — open a warm
-      session;
-    * ``("edit", ticket, session_id, source, timeout)`` — incremental
-      re-analysis of a session;
+    * ``("session", ticket, session_id, spec)`` — open a session;
+    * ``("edit", ticket, session_id, source, timeout)`` — re-analyze
+      a session from scratch against an edited source;
     * ``("query", ticket, session_id, kind, target)`` — point query.
 
     Session state lives here, in the worker, next to the program
-    cache it pins — the parent only routes by session id.  Jobs run
-    the ``codegen`` engine tier (``run_job`` with the worker's
-    program cache), so each program's generated module is emitted
-    and compiled once and reused by every later job here.
+    cache — the parent only routes by session id.  Sessions run the
+    one-shot default tier; jobs run the ``codegen`` engine tier
+    (``run_job`` with the worker's program cache), so each program's
+    generated module is emitted and compiled once and reused by every
+    later job here.
     """
     from repro.cache import CodegenCache, ProgramCache
     from repro.analysis.codegen import (

@@ -266,17 +266,24 @@ def _compile_for_job(spec: JobSpec, language: str, programs=None):
     return program, False
 
 
+def _check_budget(budget: Budget, timeout: float | None) -> None:
+    """Time out between the front end and the analysis when the
+    compile already spent the whole budget."""
+    if budget.exhausted():
+        raise AnalysisTimeout(
+            f"analysis exceeded time budget of {timeout}s",
+            elapsed=budget.elapsed)
+
+
 class WorkerSessions:
     """The worker-side table of live analysis sessions.
 
     One per fleet worker, next to its :class:`~repro.cache.
-    ProgramCache`: maps session ids to warm
+    ProgramCache`: maps session ids to
     :class:`~repro.analysis.incremental.AnalysisSession` objects, LRU
-    bounded (a warm store is memory, not disk).  While a session is
-    live its compiled-program cache entry is *pinned* so LRU eviction
-    there cannot drop the object the session was built from; the pin
-    moves when an edit re-keys the source and is released when the
-    session is evicted or dropped.
+    bounded (a result's store is memory, not disk).  A session holds
+    its latest cold result and the compiled program it came from, so
+    program-cache eviction never affects it.
 
     Every method returns a row shaped like :func:`run_job`'s — the
     fleet worker sends it back verbatim — and never raises.
@@ -288,7 +295,7 @@ class WorkerSessions:
                              f"{capacity}")
         self.programs = programs
         self.capacity = capacity
-        #: id → (session, program_key, report, simplify), LRU order.
+        #: id → (session, report, simplify), LRU order.
         self._sessions: dict[str, tuple] = {}
         self.created = 0
         self.evicted = 0
@@ -298,23 +305,10 @@ class WorkerSessions:
         return len(self._sessions)
 
     def counters(self) -> dict:
-        resumed = sum(entry[0].resumed
-                      for entry in self._sessions.values())
-        scratch = sum(entry[0].scratch
-                      for entry in self._sessions.values())
         return {"open": len(self._sessions), "created": self.created,
-                "evicted": self.evicted, "dropped": self.dropped,
-                "resumed": resumed, "scratch": scratch}
+                "evicted": self.evicted, "dropped": self.dropped}
 
     # -- bookkeeping -----------------------------------------------------
-
-    def _pin(self, key) -> None:
-        if self.programs is not None and key is not None:
-            self.programs.pin(key)
-
-    def _unpin(self, key) -> None:
-        if self.programs is not None and key is not None:
-            self.programs.unpin(key)
 
     def _touch(self, session_id: str) -> tuple | None:
         entry = self._sessions.pop(session_id, None)
@@ -323,19 +317,15 @@ class WorkerSessions:
         return entry
 
     def _install(self, session_id: str, entry: tuple) -> None:
-        self.drop(session_id)  # replacing an id releases its pin
+        self.drop(session_id)
         self._sessions[session_id] = entry
         while len(self._sessions) > self.capacity:
-            victim = next(iter(self._sessions))
-            key = self._sessions.pop(victim)[1]
-            self._unpin(key)
+            del self._sessions[next(iter(self._sessions))]
             self.evicted += 1
 
     def drop(self, session_id: str) -> bool:
-        entry = self._sessions.pop(session_id, None)
-        if entry is None:
+        if self._sessions.pop(session_id, None) is None:
             return False
-        self._unpin(entry[1])
         self.dropped += 1
         return True
 
@@ -351,10 +341,9 @@ class WorkerSessions:
     # -- operations ------------------------------------------------------
 
     def create(self, session_id: str, spec: JobSpec) -> dict:
-        """Open a session: compile, run the tracked fixpoint, keep
-        the warm state under *session_id*."""
+        """Open a session: compile, run the analysis cold, keep the
+        result under *session_id*."""
         from repro.analysis.incremental import AnalysisSession
-        from repro.cache import ProgramCache
         row = {"session": session_id, "analysis": spec.analysis,
                "context": spec.context, "values": spec.values,
                "pid": os.getpid()}
@@ -367,19 +356,16 @@ class WorkerSessions:
             program, warm = _compile_for_job(spec, language,
                                              self.programs)
             row["warm"] = warm
+            _check_budget(budget, spec.timeout)
             session = AnalysisSession(
                 program, spec.analysis, spec.context,
                 plain=spec.values == "plain", budget=budget)
-            program_key = None if self.programs is None else \
-                ProgramCache.key(language, spec.source, spec.simplify)
-            self._pin(program_key)
-            self._install(session_id, (session, program_key,
-                                       spec.report, spec.simplify))
+            self._install(session_id, (session, spec.report,
+                                       spec.simplify))
             self.created += 1
             row["stdout"] = render_reports(session.program,
                                            session.result, spec.report)
             row["summary"] = session.result.summary()
-            row["mode"] = "scratch"
             row["status"] = "ok"
         except AnalysisTimeout as error:
             row["status"] = "timeout"
@@ -395,9 +381,8 @@ class WorkerSessions:
 
     def edit(self, session_id: str, source: str,
              timeout: float | None) -> dict:
-        """Re-analyze a session against edited *source* — warm resume
-        when the tree diff allows, from-scratch otherwise."""
-        from repro.cache import ProgramCache
+        """Re-analyze a session from scratch against edited
+        *source*."""
         row = {"session": session_id, "pid": os.getpid()}
         started = time.perf_counter()
         entry = self._touch(session_id)
@@ -405,40 +390,24 @@ class WorkerSessions:
             row["wall_seconds"] = round(
                 time.perf_counter() - started, 6)
             return self._missing(session_id, row)
-        session, old_key, report, simplify = entry
+        session, report, simplify = entry
         try:
             budget = Budget(max_seconds=timeout).start()
-            spec = JobSpec(source=source, analysis=session.analysis,
-                           context=session.parameter,
-                           simplify=simplify,
-                           values="plain" if session.plain
-                           else "interned")
-            program, warm = _compile_for_job(spec, "scheme",
-                                             self.programs)
+            program, warm = _compile_for_job(
+                JobSpec(source=source, simplify=simplify), "scheme",
+                self.programs)
             row["warm"] = warm
-            outcome = session.edit(program, budget)
-            new_key = None if self.programs is None else \
-                ProgramCache.key("scheme", source, simplify)
-            if new_key != old_key:
-                self._pin(new_key)
-                self._unpin(old_key)
-                self._sessions[session_id] = (session, new_key,
-                                              report, simplify)
+            _check_budget(budget, timeout)
+            session.edit(program, budget)
             row["stdout"] = render_reports(session.program,
                                            session.result, report)
             row["summary"] = session.result.summary()
-            row["mode"] = outcome.mode
-            row["reason"] = outcome.reason
-            row["kept_ratio"] = round(outcome.kept_ratio, 4)
-            row["affected"] = outcome.affected
-            row["cleared"] = outcome.cleared
-            row["seeds"] = outcome.seeds
             row["steps"] = session.result.steps
             row["status"] = "ok"
         except AnalysisTimeout as error:
-            # Even the from-scratch shadow path ran out of budget;
-            # the warm state may be half-rebuilt, so the session is
-            # dropped rather than left lying.
+            # The session still holds the result of the source before
+            # this edit; drop it rather than answer for a stale
+            # program.
             self.drop(session_id)
             row["status"] = "timeout"
             row["error"] = str(error)
@@ -454,7 +423,7 @@ class WorkerSessions:
 
     def query(self, session_id: str, kind: str,
               target: str | None) -> dict:
-        """Answer one query from a session's warm state."""
+        """Answer one query from a session's latest result."""
         row = {"session": session_id, "pid": os.getpid()}
         started = time.perf_counter()
         entry = self._touch(session_id)
@@ -523,10 +492,7 @@ def run_job(spec: JobSpec, programs=None) -> dict:
         program, warm = _compile_for_job(spec, language, programs)
         if programs is not None:
             row["warm"] = warm
-        if budget.exhausted():
-            raise AnalysisTimeout(
-                f"analysis exceeded time budget of "
-                f"{spec.timeout}s", elapsed=budget.elapsed)
+        _check_budget(budget, spec.timeout)
         tier = "codegen" if programs is not None else None
         if language == "fj":
             result = run_fj_analysis(

@@ -14,19 +14,19 @@ directions.  Requests carry an ``op``:
     long-lived *analysis session* on the worker the job hashes to:
     the ``done`` event then carries a ``session`` id for follow-up
     ``edit``/``query`` requests.  Session submits bypass the result
-    cache and coalescing (their value is the warm mutable state, not
-    the one-shot answer).
+    cache and coalescing (the session keeps its result on the worker
+    for later queries).
 ``edit``
     ``{"op": "edit", "id": "8", "session": "s1", "source": ... |
     "path": ..., "timeout": 30.0}`` — re-analyze a session's program
-    after an edit.  The worker aligns the labelled syntax trees and
-    resumes the fixpoint from the warm store when the diff allows;
-    the ``done`` event reports ``mode`` (``resumed | scratch``) and
-    the resume statistics.
+    after an edit.  The worker runs the session's analysis from
+    scratch over the edited source; the ``done`` event carries the
+    report — byte-identical to a one-shot submit of that source —
+    and the run's engine ``steps``.
 ``query``
     Two forms.  *Session*: ``{"op": "query", "id": "9", "session":
     "s1", "kind": "value-of", "target": "x"}`` — a demand-driven
-    query answered from the session's warm store (kinds:
+    query answered from the session's latest result (kinds:
     :data:`~repro.analysis.clients.SESSION_KINDS`; ``target`` is
     required, optional or forbidden per kind).  *Sessionless batch*:
     ``{"op": "query", "id": "9", "source": ... | "path": ...,

@@ -180,7 +180,7 @@ class AnalysisServer:
                       "ok": 0, "timeout": 0, "error": 0,
                       "coalesced": 0, "rejected": 0, "busy": 0,
                       "redispatched": 0, "sessions": 0, "edits": 0,
-                      "queries": 0, "resumed": 0, "scratch": 0}
+                      "queries": 0}
         self._job_ids = itertools.count(1)
         self._tickets = itertools.count(1)
         #: ticket -> ("job", worker_id, flight, key, spec) for every
@@ -188,11 +188,11 @@ class AnalysisServer:
         #: ("session"|"edit"|"query", worker_id, send, job_id,
         #: session_id) for a session operation; the death handler
         #: re-dispatches orphaned jobs (session ops cannot move — the
-        #: warm state died with the worker, so they error out), the
+        #: session died with the worker, so they error out), the
         #: result handler retires them.
         self._assignments: dict[int, tuple] = {}
         #: session id -> worker id.  Sessions are *pinned to their
-        #: shard*: the warm store lives in one worker process, so
+        #: shard*: the session's result lives in one worker, so
         #: every edit/query for the id routes there, bypassing the
         #: hash ring.
         self._sessions: dict[str, str] = {}
@@ -561,7 +561,7 @@ class AnalysisServer:
 
     def _handle_session_open(self, job_id: str, key: str, spec,
                              send) -> None:
-        """Open a warm session: route by cache key (so repeats of the
+        """Open a session: route by cache key (so repeats of the
         same program land on the worker already holding it compiled),
         then pin the new session id to that shard."""
         while True:
@@ -761,7 +761,7 @@ class AnalysisServer:
         dying *before* reporting the death (FIFO through
         call_soon_threadsafe), so an orphan here is genuinely
         unfinished — a completed job is never run twice.  Session ops
-        are *not* re-dispatched: the warm store they target died with
+        are *not* re-dispatched: the session they target died with
         the worker, so the client gets a terminal error and must open
         a fresh session.
         """
@@ -830,16 +830,10 @@ class AnalysisServer:
                  "cached": False, "coalesced": False,
                  "wall_seconds": row.get("wall_seconds")}
         if status == "ok":
-            for field in ("stdout", "summary", "mode", "reason",
-                          "kept_ratio", "affected", "cleared",
-                          "seeds", "steps", "answer",
+            for field in ("stdout", "summary", "steps", "answer",
                           "session_stats"):
                 if field in row:
                     event[field] = row[field]
-            if kind == "edit":
-                mode = row.get("mode")
-                if mode in ("resumed", "scratch"):
-                    self._jobs[mode] += 1
         else:
             event["error"] = row.get("error", "")
             # A failed open never installed worker state; a timed-out

@@ -132,14 +132,18 @@ class TestSessionCLI:
         assert "(id 5)" not in first.out  # reports, not source
         assert f"session {session}:" in first.err
 
-        # The second edit must resume warm from the first's store.
+        # The second edit reports exactly what a one-shot analyze of
+        # the same source prints.
         edited2 = _write(tmp_path,
                          SOURCE.replace("(id 4)", "(id 6)"))
         assert main(["edit", session, edited2,
                      *self._connection(served)]) == 0
         second = capsys.readouterr()
-        assert f"session {session}: resumed" in second.err
-        assert "addresses cleared" in second.err
+        assert f"session {session}: re-analyzed (" in second.err
+        assert "engine steps)" in second.err
+        assert main(["analyze", edited2, "--analysis", "kcfa",
+                     "-n", "1"]) == 0
+        assert capsys.readouterr().out == second.out
 
         assert main(["query", session, "value-of", "x",
                      *self._connection(served)]) == 0
@@ -151,7 +155,7 @@ class TestSessionCLI:
                      *self._connection(served)]) == 0
         stats = capsys.readouterr().out
         assert "sessions:" in stats
-        assert "warm-resumed" in stats
+        assert "2 edits" in stats
 
     def test_edit_unknown_session_fails(self, served, tmp_path,
                                         capsys):

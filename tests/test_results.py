@@ -1,5 +1,10 @@
 """Tests for the AnalysisResult API and benchsuite integration."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import analyze_kcfa, analyze_mcfa
@@ -89,6 +94,47 @@ class TestCallGraph:
         graph = result.call_graph()
         assert any(source == "<toplevel>"
                    for source, _t in graph.edges())
+
+
+#: Runs in a fresh interpreter: a Scheme job, an FJ job and a
+#: call-graph query, one-shot and through a worker's program cache,
+#: then prints which networkx modules got imported.
+_JOBS_SCRIPT = """
+import sys
+from repro.analysis.codegen import set_default_codegen_cache
+from repro.cache import CodegenCache, ProgramCache
+from repro.fj.examples import PAIRS
+from repro.service.jobs import JobSpec, run_job
+set_default_codegen_cache(CodegenCache())  # memory-only
+scheme = "(define (id x) x)\\n(+ (id 3) (id 4))\\n"
+jobs = [JobSpec(source=scheme, analysis="kcfa"),
+        JobSpec(source=PAIRS, analysis="fj-kcfa"),
+        JobSpec(source=scheme, analysis="mcfa",
+                query_kind="call-graph")]
+for programs in (None, ProgramCache()):
+    for job in jobs:
+        row = run_job(job, programs=programs)
+        assert row["status"] == "ok", row
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] == "networkx"))
+"""
+
+
+class TestNetworkxStaysLazy:
+    def test_jobs_never_import_networkx(self, tmp_path):
+        """Only :meth:`AnalysisResult.call_graph` needs networkx, so
+        no job path — including the call-graph client pass — may
+        pay for importing it."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+        env["PYTHONPATH"] = str(src) + (
+            os.pathsep + env["PYTHONPATH"]
+            if env.get("PYTHONPATH") else "")
+        result = subprocess.run(
+            [sys.executable, "-c", _JOBS_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestBenchsuiteIntegration:

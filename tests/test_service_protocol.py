@@ -643,7 +643,6 @@ class TestSessionWire:
         assert opened["status"] == "ok"
         session = opened["session"]
         assert running["session"] == session
-        assert opened["mode"] == "scratch"
         assert opened["stdout"]
 
         # Edit from another connection: shard affinity is server-side.
@@ -655,7 +654,9 @@ class TestSessionWire:
         assert edited["event"] == "done"
         assert edited["status"] == "ok"
         assert edited["session"] == session
-        assert edited["mode"] in ("resumed", "scratch")
+        assert edited["stdout"] == run_job(JobSpec(
+            source=SOURCE.replace("(id 4)", "(id 5)"),
+            analysis="kcfa", context=1))["stdout"]
 
         answered = self._events(
             raw_server,

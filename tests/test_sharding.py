@@ -120,53 +120,10 @@ class TestProgramCache:
         assert cache.get(key_b) is None
         assert cache.get(key_a) == "A"
         assert cache.get(key_c) == "C"
+        assert len(cache) == 2          # never over capacity
         stats = cache.as_dict()
         assert stats["evictions"] == 1
         assert stats["hits"] == 3 and stats["misses"] == 2
-
-    def test_pinned_entry_survives_overflow(self):
-        cache = ProgramCache(capacity=2)
-        key_a = ProgramCache.key("scheme", "(a)", False)
-        key_b = ProgramCache.key("scheme", "(b)", False)
-        key_c = ProgramCache.key("scheme", "(c)", False)
-        cache.put(key_a, "A")
-        cache.pin(key_a)
-        cache.put(key_b, "B")
-        cache.put(key_c, "C")  # a is the LRU but pinned: b goes
-        assert cache.get(key_a) == "A"
-        assert cache.get(key_b) is None
-        assert cache.as_dict()["pinned"] == 1
-
-    def test_unpin_restores_evictability(self):
-        cache = ProgramCache(capacity=1)
-        key_a = ProgramCache.key("scheme", "(a)", False)
-        key_b = ProgramCache.key("scheme", "(b)", False)
-        cache.put(key_a, "A")
-        cache.pin(key_a)
-        cache.pin(key_a)           # pins nest
-        cache.put(key_b, "B")      # over capacity, both pinned/new
-        cache.unpin(key_a)
-        assert cache.get(key_a) == "A"  # one pin still holds
-        cache.unpin(key_a)
-        assert cache.pinned() == 0
-        cache.put(key_b, "B")      # now a is fair game
-        assert cache.get(key_a) is None
-        assert cache.get(key_b) == "B"
-
-    def test_all_pinned_overflows_without_eviction(self):
-        # A worker hosting more sessions than cache capacity must
-        # not drop a program a live session still references.
-        cache = ProgramCache(capacity=1)
-        key_a = ProgramCache.key("scheme", "(a)", False)
-        key_b = ProgramCache.key("scheme", "(b)", False)
-        cache.put(key_a, "A")
-        cache.pin(key_a)
-        cache.pin(key_b)           # pin lands before the program does
-        cache.put(key_b, "B")
-        assert len(cache) == 2          # over capacity, by design
-        assert cache.as_dict()["evictions"] == 0
-        assert cache.get(key_a) == "A"
-        assert cache.get(key_b) == "B"
 
     def test_key_separates_language_source_and_simplify(self):
         base = ProgramCache.key("scheme", "(x)", False)
