@@ -43,7 +43,7 @@ import sys
 
 from repro.analysis.registry import registry
 from repro.errors import ReproError, UsageError
-from repro.service.jobs import REPORT_CHOICES, VALUE_MODES
+from repro.service.jobs import REPORT_CHOICES
 
 #: Every registered analysis name (Scheme and FJ), sourced from the
 #: registry.  Unknown names are rejected by ``JobSpec.validate`` (a
@@ -74,10 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--report",
                          choices=list(REPORT_CHOICES),
                          default="all")
-    analyze.add_argument("--values", choices=list(VALUE_MODES),
-                         default="interned",
-                         help="value-domain representation "
-                              "(default interned)")
     analyze.add_argument("--cache", action="store_true",
                          help="reuse/persist results in the default "
                               "cache dir (~/.cache/repro)")
@@ -138,9 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated receiver-chain depths "
                             "for the hybrid ladder (fj-hybrid only; "
                             "adds an obj-depth axis to the matrix)")
-    bench.add_argument("--repeat", type=int, default=1,
-                       help="run each cell N times and report the "
-                            "fastest (min-of-N; default 1)")
     bench.add_argument("--copies", type=int, default=1,
                        help="scale factor for Scheme programs")
     bench.add_argument("--timeout", type=float, default=30.0,
@@ -151,10 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run in-process (the parallel baseline)")
     bench.add_argument("--quick", action="store_true",
                        help="small smoke matrix (CI)")
-    bench.add_argument("--values", default="interned",
-                       help="comma-separated value-domain modes: "
-                            "interned, plain (default interned); "
-                            "'plain,interned' benches before/after")
     bench.add_argument("--cache", action="store_true",
                        help="reuse/persist ok rows in the default "
                             "cache dir (~/.cache/repro)")
@@ -252,10 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default: the server's --job-timeout)")
     submit.add_argument("--report",
                         choices=list(REPORT_CHOICES), default="all")
-    submit.add_argument("--values", choices=list(VALUE_MODES),
-                        default="interned",
-                        help="value-domain representation "
-                             "(default interned)")
     submit.add_argument("--socket", default=None,
                         help="connect to this Unix socket path "
                              "instead of TCP")
@@ -339,10 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--simplify", action="store_true",
                        help="batch mode: shrink-simplify the CPS "
                             "term first")
-    query.add_argument("--values", choices=list(VALUE_MODES),
-                       default="interned",
-                       help="batch mode: value-domain "
-                            "representation (default interned)")
     query.add_argument("--timeout", type=float, default=None,
                        help="batch mode: wall-clock budget in "
                             "seconds")
@@ -371,8 +352,7 @@ def _validate_analysis_args(args) -> None:
     typo must not block on stdin or be masked by a file error."""
     from repro.service.jobs import validate_job_options
     validate_job_options(args.analysis, args.context,
-                         simplify=args.simplify, report=args.report,
-                         values=args.values)
+                         simplify=args.simplify, report=args.report)
 
 
 def _cmd_analyze(args) -> int:
@@ -384,7 +364,6 @@ def _cmd_analyze(args) -> int:
     spec = JobSpec(source=_read_source(args.file),
                    analysis=args.analysis, context=args.context,
                    simplify=args.simplify, report=args.report,
-                   values=args.values,
                    timeout=args.timeout).validate()
     cache = open_cache(args.cache_dir, args.cache or args.cache_dir)
     key = job_cache_key(spec) if cache is not None else None
@@ -532,24 +511,17 @@ def _cmd_bench(args) -> int:
                 f"{args.contexts!r}")
         copies = args.copies
         timeout = args.timeout
-    if args.repeat < 1:
-        raise UsageError(
-            f"--repeat must be a positive integer, got {args.repeat}")
-    values = args.values.split(",")
     tasks = build_matrix(programs, analyses, contexts, copies=copies,
-                         timeout=timeout, values=values,
-                         obj_depths=obj_depths, repeat=args.repeat)
+                         timeout=timeout, obj_depths=obj_depths)
     if not tasks:
         print("error: empty benchmark matrix", file=sys.stderr)
         return 1
     cache = open_cache(args.cache_dir, args.cache or args.cache_dir)
-    values_axis = f" x {len(values)} value modes" \
-        if len(values) > 1 else ""
     obj_axis = f" x {len(obj_depths)} obj depths" \
         if obj_depths is not None and len(obj_depths) > 1 else ""
     print(f"bench: {len(tasks)} tasks "
           f"({len(programs)} programs x {len(analyses)} analyses "
-          f"x {len(contexts)} contexts{values_axis}{obj_axis})",
+          f"x {len(contexts)} contexts{obj_axis})",
           file=sys.stderr)
     report = run_batch(
         tasks, jobs=args.jobs, serial=args.serial, cache=cache,
@@ -694,8 +666,7 @@ def _cmd_submit(args) -> int:
         final = client.submit(
             source=_read_source(args.file), analysis=args.analysis,
             context=args.context, simplify=args.simplify,
-            report=args.report, values=args.values,
-            timeout=args.timeout,
+            report=args.report, timeout=args.timeout,
             session=args.session, on_event=_event_printer(args))
     if final.get("status") == "ok":
         sys.stdout.write(final["stdout"])
@@ -774,8 +745,7 @@ def _cmd_query_batch(args) -> int:
             "and --target")
     # Option errors fail fast, before any source is read.
     language = validate_job_options(
-        args.analysis, args.context, simplify=args.simplify,
-        values=args.values).language
+        args.analysis, args.context, simplify=args.simplify).language
     validate_query(args.batch_kind, args.batch_target,
                    language=language)
     if args.dot is not None and args.batch_kind != "call-graph":
@@ -784,8 +754,7 @@ def _cmd_query_batch(args) -> int:
             f"not {args.batch_kind!r}")
     spec = JobSpec(source=_read_source(args.session),
                    analysis=args.analysis, context=args.context,
-                   simplify=args.simplify, values=args.values,
-                   timeout=args.timeout,
+                   simplify=args.simplify, timeout=args.timeout,
                    query_kind=args.batch_kind,
                    query_target=args.batch_target).validate()
     cache = open_cache(args.cache_dir, args.cache or args.cache_dir)

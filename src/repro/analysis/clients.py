@@ -5,7 +5,7 @@ The paper's argument is that context-sensitivity choices matter to a
 escape, what can be devirtualized or inlined — not to the store-size
 bean counter.  This module is that client: a pass framework consuming
 any :class:`~repro.analysis.results.AnalysisResult` (every Scheme
-policy × both value domains × all three environment representations)
+policy × all three environment representations)
 or :class:`~repro.fj.kcfa.FJResult` (the whole FJ family) and deriving
 compiler facts from it:
 

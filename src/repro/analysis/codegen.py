@@ -80,7 +80,9 @@ store, so no run can tell the difference.
 contract :mod:`repro.analysis.specialize` documents.  Generated
 binders run lazily at a node's first step and intern constant bits in
 exactly the order the generic kernel would; ``tests/test_specialize.py``
-holds every covered analysis to it across both value domains.
+holds every covered analysis to it.  Generated steps work on the
+interned bitsets directly (``table._values``, ``bit_length``), so
+they run only over :class:`~repro.analysis.interning.ValueTable`.
 
 Cache key
 ---------
@@ -608,6 +610,7 @@ def _z_app(w: _Writer, call):
                         if type(exp) is Ref])
     names = [f"m{i}" for i in range(nargs)]
     w.w(1, "basic = K._basic")
+    w.w(1, "values = table._values")
     w.w(1, "entries = {}")
     w.w(1, f"entry_for = entry_maker(K, {label}, {nargs})")
     if read_addrs:
@@ -618,88 +621,60 @@ def _z_app(w: _Writer, call):
     for i, arg in enumerate(args):
         if type(arg) is not Ref:
             w.w(1, f"c{i} = const_bit(K, call.args[{i}])")
-
-    def body(ind: int, interned: bool):
-        w.w(ind, "")
-        w.w(ind, "def step(config, store, reads, recorder):")
-        b = ind + 1
-        if read_addrs:
-            w.w(b, "if not recorded:")
-            w.w(b + 1, "recorded.append(True)")
-            w.w(b + 1, f"reads.update({read_addrs!r})")
-        if read_addrs:
-            w.w(b, "get_mask = store.get_mask")
-        if type(call.fn) is Ref:
-            w.w(b, f"operators = get_mask({_zaddr(call.fn.name)})")
+    w.w(1, "")
+    w.w(1, "def step(config, store, reads, recorder):")
+    b = 2
+    if read_addrs:
+        w.w(b, "if not recorded:")
+        w.w(b + 1, "recorded.append(True)")
+        w.w(b + 1, f"reads.update({read_addrs!r})")
+        w.w(b, "get_mask = store.get_mask")
+    if type(call.fn) is Ref:
+        w.w(b, f"operators = get_mask({_zaddr(call.fn.name)})")
+    else:
+        w.w(b, "operators = c_fn")
+    w.w(b, "if operators & basic:")
+    w.w(b + 1, f"recorder.unknown_operator.add({label})")
+    for i, arg in enumerate(args):
+        if type(arg) is Ref:
+            w.w(b, f"m{i} = get_mask({_zaddr(arg.name)})")
         else:
-            w.w(b, "operators = c_fn")
-        w.w(b, "if operators & basic:")
-        w.w(b + 1, f"recorder.unknown_operator.add({label})")
-        for i, arg in enumerate(args):
-            if type(arg) is Ref:
-                w.w(b, f"m{i} = get_mask({_zaddr(arg.name)})")
-            else:
-                w.w(b, f"m{i} = c{i}")
-        w.w(b, "succs = []")
-        if interned:
-            w.w(b, "mask = operators")
-            w.w(b, "while mask:")
-            l = b + 1
-            w.w(l, "low = mask & -mask")
-            w.w(l, "mask ^= low")
-            w.w(l, "entry = entries.get(low, MISSING)")
-            w.w(l, "if entry is MISSING:")
-            w.w(l + 1, "plan = entry_for("
-                       "values[low.bit_length() - 1], recorder)")
-            w.w(l + 1, "if plan is None:")
-            w.w(l + 2, "entry = None")
-            w.w(l + 1, "else:")
-            if nargs == 0:
-                w.w(l + 2, "entry = plan")
-            elif nargs == 1:
-                w.w(l + 2, "entry = (plan[0], plan[1][0], "
-                           "new_shadow(store, plan[1]))")
-            else:
-                w.w(l + 2, "entry = (plan[0], plan[1], "
-                           "new_shadow(store, plan[1]))")
-            w.w(l + 1, "entries[low] = entry")
-            w.w(l, "if entry is None:")
-            w.w(l + 1, "continue")
-            if nargs == 0:
-                w.w(l, "succs.append((entry[0], ()))")
-            elif nargs == 1:
-                w.w(l, "succ, param_addr, shadow = entry")
-                _emit_lane_diff(w, l, names, ["param_addr"])
-            else:
-                w.w(l, "succ, param_addrs, shadow = entry")
-                _emit_lane_diff(w, l, names,
-                                [f"param_addrs[{i}]"
-                                 for i in range(nargs)])
-        else:
-            w.w(b, "for operator in decode_iter(operators):")
-            l = b + 1
-            w.w(l, "key = id(operator)")
-            w.w(l, "entry = entries.get(key, MISSING)")
-            w.w(l, "if entry is MISSING:")
-            w.w(l + 1, "entry = entry_for(operator, recorder)")
-            w.w(l + 1, "entries[key] = entry")
-            w.w(l, "if entry is None:")
-            w.w(l + 1, "continue")
-            if nargs:
-                w.w(l, "succ, param_addrs = entry")
-                joins = ", ".join(f"(param_addrs[{i}], m{i})"
-                                  for i in range(nargs))
-                w.w(l, f"succs.append((succ, [{joins}]))")
-            else:
-                w.w(l, "succs.append((entry[0], []))")
-        w.w(b, "return succs")
-        w.w(ind, "return step")
-
-    w.w(1, "if table.interned:")
-    w.w(2, "values = table._values")
-    body(2, True)
-    w.w(1, "decode_iter = table.decode_iter")
-    body(1, False)
+            w.w(b, f"m{i} = c{i}")
+    w.w(b, "succs = []")
+    w.w(b, "mask = operators")
+    w.w(b, "while mask:")
+    l = b + 1
+    w.w(l, "low = mask & -mask")
+    w.w(l, "mask ^= low")
+    w.w(l, "entry = entries.get(low, MISSING)")
+    w.w(l, "if entry is MISSING:")
+    w.w(l + 1, "plan = entry_for("
+               "values[low.bit_length() - 1], recorder)")
+    w.w(l + 1, "if plan is None:")
+    w.w(l + 2, "entry = None")
+    w.w(l + 1, "else:")
+    if nargs == 0:
+        w.w(l + 2, "entry = plan")
+    elif nargs == 1:
+        w.w(l + 2, "entry = (plan[0], plan[1][0], "
+                   "new_shadow(store, plan[1]))")
+    else:
+        w.w(l + 2, "entry = (plan[0], plan[1], "
+                   "new_shadow(store, plan[1]))")
+    w.w(l + 1, "entries[low] = entry")
+    w.w(l, "if entry is None:")
+    w.w(l + 1, "continue")
+    if nargs == 0:
+        w.w(l, "succs.append((entry[0], ()))")
+    elif nargs == 1:
+        w.w(l, "succ, param_addr, shadow = entry")
+        _emit_lane_diff(w, l, names, ["param_addr"])
+    else:
+        w.w(l, "succ, param_addrs, shadow = entry")
+        _emit_lane_diff(w, l, names,
+                        [f"param_addrs[{i}]" for i in range(nargs)])
+    w.w(b, "return succs")
+    w.w(1, "return step")
 
 
 def _z_if(w: _Writer, call):
@@ -796,121 +771,94 @@ def _z_prim(w: _Writer, call):
     if kind == "cons":
         w.w(1, "pair_cell = []")
         w.w(1, "self_succ = FConfig(call, ())")
-    w.w(1, "decode_iter = table.decode_iter")
     if kind in ("car", "cdr"):
+        w.w(1, "decode_iter = table.decode_iter")
         w.w(1, "empty = table.empty")
-
-    def body(ind: int, interned: bool):
-        w.w(ind, "")
-        w.w(ind, "def step(config, store, reads, recorder):")
-        b = ind + 1
-        if read_addrs:
-            w.w(b, "if not args_recorded:")
-            w.w(b + 1, "args_recorded.append(True)")
-            w.w(b + 1, f"reads.update({read_addrs!r})")
-        if kind == "error":
-            w.w(b, "return []")
-            w.w(ind, "return step")
-            return
-        if read_addrs or type(cont) is Ref or kind in ("car", "cdr"):
-            w.w(b, "get_mask = store.get_mask")
-        for i, arg in enumerate(args):
-            if type(arg) is Ref:
-                w.w(b, f"m{i} = get_mask({_zaddr(arg.name)})")
-            else:
-                w.w(b, f"m{i} = c{i}")
-        for i in range(len(args)):
-            w.w(b, f"if not m{i}:")
-            w.w(b + 1, "return []")
-        if kind == "basic":
-            w.w(b, "result = basic")
-        elif kind == "cons":
-            w.w(b, "if not pair_cell:")
-            w.w(b + 1, f"pair_cell.append(table.bit_for("
-                       f"APair({car_addr!r}, {cdr_addr!r})))")
-            w.w(b, "result = pair_cell[0]")
-        else:  # car / cdr — the one dynamic read set
-            w.w(b, "gathered = empty")
-            w.w(b, "for value in decode_iter(m0):")
-            w.w(b + 1, "if type(value) is APair:")
-            w.w(b + 2, f"addr = value.{kind}")
-            w.w(b + 2, "reads.add(addr)")
-            w.w(b + 2, "gathered |= get_mask(addr)")
-            w.w(b + 1, "elif value is BASIC:")
-            w.w(b + 2, "gathered |= basic")
-            w.w(b, "if not gathered:")
-            w.w(b + 1, "return []")
-            w.w(b, "result = gathered")
-        if type(cont) is Ref:
-            caddr = _zaddr(cont.name)
-            w.w(b, "if not cont_recorded:")
-            w.w(b + 1, "cont_recorded.append(True)")
-            w.w(b + 1, f"reads.add({caddr})")
-            w.w(b, f"conts = get_mask({caddr})")
+    w.w(1, "values = table._values")
+    w.w(1, "")
+    w.w(1, "def step(config, store, reads, recorder):")
+    b = 2
+    if read_addrs:
+        w.w(b, "if not args_recorded:")
+        w.w(b + 1, "args_recorded.append(True)")
+        w.w(b + 1, f"reads.update({read_addrs!r})")
+    if kind == "error":
+        w.w(b, "return []")
+        w.w(1, "return step")
+        return
+    if read_addrs or type(cont) is Ref or kind in ("car", "cdr"):
+        w.w(b, "get_mask = store.get_mask")
+    for i, arg in enumerate(args):
+        if type(arg) is Ref:
+            w.w(b, f"m{i} = get_mask({_zaddr(arg.name)})")
         else:
-            w.w(b, "if not cont_cell:")
-            w.w(b + 1, "cont_cell.append(const_bit(K, call.cont))")
-            w.w(b, "conts = cont_cell[0]")
-        w.w(b, "succs = []")
-        if interned:
-            if kind == "cons":
-                lanes = ["result", "m0", "m1"]
-                targets = ["param_addr", repr(car_addr),
-                           repr(cdr_addr)]
-                shadow_addrs = (f"(plan[1][0], {car_addr!r}, "
-                                f"{cdr_addr!r})")
-            else:
-                lanes = ["result"]
-                targets = ["param_addr"]
-                shadow_addrs = "plan[1]"
-            w.w(b, "mask = conts")
-            w.w(b, "while mask:")
-            l = b + 1
-            w.w(l, "low = mask & -mask")
-            w.w(l, "mask ^= low")
-            w.w(l, "entry = entries.get(low, MISSING)")
-            w.w(l, "if entry is MISSING:")
-            w.w(l + 1, "plan = entry_for("
-                       "values[low.bit_length() - 1], recorder)")
-            w.w(l + 1, "if plan is None:")
-            w.w(l + 2, "entry = None")
-            w.w(l + 1, "else:")
-            w.w(l + 2, f"entry = (plan[0], plan[1][0], "
-                       f"new_shadow(store, {shadow_addrs}))")
-            w.w(l + 1, "entries[low] = entry")
-            w.w(l, "if entry is None:")
-            w.w(l + 1, "continue")
-            w.w(l, "succ, param_addr, shadow = entry")
-            _emit_lane_diff(w, l, lanes, targets)
-        else:
-            w.w(b, "for operator in decode_iter(conts):")
-            l = b + 1
-            w.w(l, "key = id(operator)")
-            w.w(l, "entry = entries.get(key, MISSING)")
-            w.w(l, "if entry is MISSING:")
-            w.w(l + 1, "entry = entry_for(operator, recorder)")
-            w.w(l + 1, "if entry is not None:")
-            w.w(l + 2, "entry = (entry[0], entry[1][0])")
-            w.w(l + 1, "entries[key] = entry")
-            w.w(l, "if entry is None:")
-            w.w(l + 1, "continue")
-            if kind == "cons":
-                w.w(l, f"succs.append((entry[0], ((entry[1], result),"
-                       f" ({car_addr!r}, m0), ({cdr_addr!r}, m1))))")
-            else:
-                w.w(l, "succs.append((entry[0], "
-                       "((entry[1], result),)))")
-        if kind == "cons":
-            w.w(b, "if not succs:")
-            w.w(b + 1, f"succs.append((self_succ, (({car_addr!r}, m0),"
-                       f" ({cdr_addr!r}, m1))))")
-        w.w(b, "return succs")
-        w.w(ind, "return step")
-
-    w.w(1, "if table.interned:")
-    w.w(2, "values = table._values")
-    body(2, True)
-    body(1, False)
+            w.w(b, f"m{i} = c{i}")
+    for i in range(len(args)):
+        w.w(b, f"if not m{i}:")
+        w.w(b + 1, "return []")
+    if kind == "basic":
+        w.w(b, "result = basic")
+    elif kind == "cons":
+        w.w(b, "if not pair_cell:")
+        w.w(b + 1, f"pair_cell.append(table.bit_for("
+                   f"APair({car_addr!r}, {cdr_addr!r})))")
+        w.w(b, "result = pair_cell[0]")
+    else:  # car / cdr — the one dynamic read set
+        w.w(b, "gathered = empty")
+        w.w(b, "for value in decode_iter(m0):")
+        w.w(b + 1, "if type(value) is APair:")
+        w.w(b + 2, f"addr = value.{kind}")
+        w.w(b + 2, "reads.add(addr)")
+        w.w(b + 2, "gathered |= get_mask(addr)")
+        w.w(b + 1, "elif value is BASIC:")
+        w.w(b + 2, "gathered |= basic")
+        w.w(b, "if not gathered:")
+        w.w(b + 1, "return []")
+        w.w(b, "result = gathered")
+    if type(cont) is Ref:
+        caddr = _zaddr(cont.name)
+        w.w(b, "if not cont_recorded:")
+        w.w(b + 1, "cont_recorded.append(True)")
+        w.w(b + 1, f"reads.add({caddr})")
+        w.w(b, f"conts = get_mask({caddr})")
+    else:
+        w.w(b, "if not cont_cell:")
+        w.w(b + 1, "cont_cell.append(const_bit(K, call.cont))")
+        w.w(b, "conts = cont_cell[0]")
+    w.w(b, "succs = []")
+    if kind == "cons":
+        lanes = ["result", "m0", "m1"]
+        targets = ["param_addr", repr(car_addr), repr(cdr_addr)]
+        shadow_addrs = f"(plan[1][0], {car_addr!r}, {cdr_addr!r})"
+    else:
+        lanes = ["result"]
+        targets = ["param_addr"]
+        shadow_addrs = "plan[1]"
+    w.w(b, "mask = conts")
+    w.w(b, "while mask:")
+    l = b + 1
+    w.w(l, "low = mask & -mask")
+    w.w(l, "mask ^= low")
+    w.w(l, "entry = entries.get(low, MISSING)")
+    w.w(l, "if entry is MISSING:")
+    w.w(l + 1, "plan = entry_for("
+               "values[low.bit_length() - 1], recorder)")
+    w.w(l + 1, "if plan is None:")
+    w.w(l + 2, "entry = None")
+    w.w(l + 1, "else:")
+    w.w(l + 2, f"entry = (plan[0], plan[1][0], "
+               f"new_shadow(store, {shadow_addrs}))")
+    w.w(l + 1, "entries[low] = entry")
+    w.w(l, "if entry is None:")
+    w.w(l + 1, "continue")
+    w.w(l, "succ, param_addr, shadow = entry")
+    _emit_lane_diff(w, l, lanes, targets)
+    if kind == "cons":
+        w.w(b, "if not succs:")
+        w.w(b + 1, f"succs.append((self_succ, (({car_addr!r}, m0),"
+                   f" ({cdr_addr!r}, m1))))")
+    w.w(b, "return succs")
+    w.w(1, "return step")
 
 
 def _f_atom_binder(w: _Writer, exp, cname: str, access: str):
@@ -963,18 +911,17 @@ def _f_app(w: _Writer, call):
     for i, arg in enumerate(args):
         _f_atom_binder(w, arg, f"c{i}", f"call.args[{i}]")
 
-    # Interned: a per-environment record (the atom addresses, read
-    # once, plus a per-operator plan dict).  A plan pre-builds the
-    # successor, the copy sources, and a packed shadow over its whole
-    # join range — parameters and §5.2 free-variable copies alike —
-    # so the saturated steady state emits no joins at all.
-    w.w(1, "if table.interned:")
-    w.w(2, "values = table._values")
-    w.w(2, "empty = table.empty")
-    w.w(2, "envs = {}")
-    w.w(2, "")
-    w.w(2, "def step(config, store, reads, recorder):")
-    b = 3
+    # A per-environment record (the atom addresses, read once, plus
+    # a per-operator plan dict).  A plan pre-builds the successor, the
+    # copy sources, and a packed shadow over its whole join range —
+    # parameters and §5.2 free-variable copies alike — so the
+    # saturated steady state emits no joins at all.
+    w.w(1, "values = table._values")
+    w.w(1, "empty = table.empty")
+    w.w(1, "envs = {}")
+    w.w(1, "")
+    w.w(1, "def step(config, store, reads, recorder):")
+    b = 2
     w.w(b, "env = config.env")
     w.w(b, "rec = envs.get(env)")
     w.w(b, "if rec is None:")
@@ -1124,43 +1071,6 @@ def _f_app(w: _Writer, call):
     w.w(l, "for source in sources:")
     w.w(l + 1, "masks.append(get_mask(source, empty))")
     w.w(l, "flat_transfer(shadow, masks, targets, succ, succs)")
-    w.w(b, "return succs")
-    w.w(2, "return step")
-
-    # Plain-table fallback: the object domain decodes operators and
-    # re-emits joins each step, like the generic kernel it mirrors.
-    w.w(1, "decode_iter = table.decode_iter")
-    w.w(1, "infos = {}")
-    w.w(1, "")
-    w.w(1, "def step(config, store, reads, recorder):")
-    b = 2
-    w.w(b, "env = config.env")
-    _f_atom_step(w, b, call.fn, "operators", "c_fn", "addr", "env")
-    w.w(b, "if operators & basic:")
-    w.w(b + 1, f"recorder.unknown_operator.add({label})")
-    for i, arg in enumerate(args):
-        _f_atom_step(w, b, arg, f"m{i}", f"c{i}", f"a{i}", "env")
-    w.w(b, "succs = []")
-    w.w(b, "for operator in decode_iter(operators):")
-    l = b + 1
-    w.w(l, "key = id(operator)")
-    w.w(l, "info = infos.get(key, MISSING)")
-    w.w(l, "if info is MISSING:")
-    w.w(l + 1, f"info = enter_info(operator, {nargs})")
-    w.w(l + 1, "infos[key] = info")
-    w.w(l, "if info is None:")
-    w.w(l + 1, "continue")
-    w.w(l, "lam, params, free = info")
-    w.w(l, f"new_env = alloc({label}, env, lam, operator.env)")
-    if nargs:
-        joins = ", ".join(f"((params[{i}], new_env), m{i})"
-                          for i in range(nargs))
-        w.w(l, f"joins = [{joins}]")
-    else:
-        w.w(l, "joins = []")
-    _f_copy_loop(w, l)
-    w.w(l, f"recorder.record_apply({label}, lam, new_env)")
-    w.w(l, "succs.append((FConfig(lam.body, new_env), joins))")
     w.w(b, "return succs")
     w.w(1, "return step")
 
@@ -1413,179 +1323,93 @@ def _fj_field(w: _Writer, program, stmt, exp):
     field = exp.fieldname   # receiver-insensitive: field key is the name
     dead = program.succ(stmt.label) is None
     # The receiver address is a per-node constant, so its mask only
-    # ever grows: interned tables decode just the added bits per step
-    # and keep a bit-ordered ``(bit, field address)`` row list (full
-    # decode order is bit order, so join order is unchanged).  Every
-    # join targets the same variable, so one emitted-union per
-    # ``kont_ptr`` detects the saturated steady state and skips the
-    # successor entirely.  The per-address ``reads.add``/``get_mask``
-    # stay in the step: dependency registration is per config.
+    # ever grows: each step decodes just the added bits and keeps a
+    # bit-ordered ``(bit, field address)`` row list (full decode order
+    # is bit order, so join order is unchanged).  Every join targets
+    # the same variable, so one emitted-union per ``kont_ptr`` detects
+    # the saturated steady state and skips the successor entirely.
+    # The per-address ``reads.add``/``get_mask`` stay in the step:
+    # dependency registration is per config.
     w.w(1, "all_fields = program.all_fields")
-    w.w(1, "decode_iter = table.decode_iter")
     w.w(1, "addr_memo = {}")
-    w.w(1, "if table.interned:")
-    w.w(2, "values_tab = table._values")
-    w.w(2, "state = [0, []]")
-    if not dead:
-        w.w(2, "succ_memo = {}")
-    w.w(2, "")
-    w.w(2, "def step(config, store, reads, recorder):")
-    w.w(3, f"reads.add({src})")
-    w.w(3, f"mask = store.get_mask({src})")
-    w.w(3, "rows = state[1]")
-    w.w(3, "if mask != state[0]:")
-    w.w(4, "added = mask & ~state[0]")
-    w.w(4, "state[0] = mask")
-    w.w(4, "fresh = []")
-    w.w(4, "while added:")
-    w.w(5, "low = added & -added")
-    w.w(5, "added ^= low")
-    w.w(5, "addr = addr_memo.get(low, MISSING)")
-    w.w(5, "if addr is MISSING:")
-    w.w(6, "value = values_tab[low.bit_length() - 1]")
-    w.w(6, f"addr = (({field!r}, value.time)")
-    w.w(6, "        if isinstance(value, PObj)")
-    w.w(6, f"        and {field!r} in all_fields(value.classname)")
-    w.w(6, "        else None)")
-    w.w(6, "addr_memo[low] = addr")
-    w.w(5, "if addr is not None:")
-    w.w(6, "fresh.append((low, addr))")
-    w.w(4, "if fresh:")
-    w.w(5, "if rows and fresh[0][0] < rows[-1][0]:")
-    w.w(6, "rows.extend(fresh)")
-    w.w(6, "rows.sort()")
-    w.w(5, "else:")
-    w.w(6, "rows.extend(fresh)")
-    if dead:
-        w.w(3, "for low, addr in rows:")
-        w.w(4, "reads.add(addr)")
-        w.w(4, "store.get_mask(addr)")
-        w.w(3, "return []")
-        w.w(2, "return step")
-    else:
-        w.w(3, "get_mask = store.get_mask")
-        w.w(3, "joins = []")
-        w.w(3, "total = 0")
-        w.w(3, "for low, addr in rows:")
-        w.w(4, "reads.add(addr)")
-        w.w(4, "field_values = get_mask(addr)")
-        w.w(4, "if field_values:")
-        w.w(5, f"joins.append(({tgt}, field_values))")
-        w.w(5, "total |= field_values")
-        w.w(3, "kont_ptr = config.kont_ptr")
-        w.w(3, "entry = succ_memo.get(kont_ptr)")
-        w.w(3, "if entry is None:")
-        w.w(4, "entry = [PConfig(following, (), kont_ptr, ()), None]")
-        w.w(4, "succ_memo[kont_ptr] = entry")
-        w.w(3, "emitted = entry[1]")
-        w.w(3, "if emitted is None:")
-        w.w(4, "entry[1] = total")
-        w.w(4, "return [(entry[0], joins)]")
-        w.w(3, "if total | emitted == emitted:")
-        w.w(4, "return []")
-        w.w(3, "entry[1] = emitted | total")
-        w.w(3, "return [(entry[0], joins)]")
-        w.w(2, "return step")
+    w.w(1, "values_tab = table._values")
+    w.w(1, "state = [0, []]")
     if not dead:
         w.w(1, "succ_memo = {}")
     w.w(1, "")
     w.w(1, "def step(config, store, reads, recorder):")
     w.w(2, f"reads.add({src})")
-    if not dead:
-        w.w(2, "joins = []")
-    w.w(2, f"for value in decode_iter(store.get_mask({src})):")
-    w.w(3, "addr = addr_memo.get(value, MISSING)")
-    w.w(3, "if addr is MISSING:")
-    w.w(4, f"addr = (({field!r}, value.time)")
-    w.w(4, "        if isinstance(value, PObj)")
-    w.w(4, f"        and {field!r} in all_fields(value.classname)")
-    w.w(4, "        else None)")
-    w.w(4, "addr_memo[value] = addr")
+    w.w(2, f"mask = store.get_mask({src})")
+    w.w(2, "rows = state[1]")
+    w.w(2, "if mask != state[0]:")
+    w.w(3, "added = mask & ~state[0]")
+    w.w(3, "state[0] = mask")
+    w.w(3, "fresh = []")
+    w.w(3, "while added:")
+    w.w(4, "low = added & -added")
+    w.w(4, "added ^= low")
+    w.w(4, "addr = addr_memo.get(low, MISSING)")
+    w.w(4, "if addr is MISSING:")
+    w.w(5, "value = values_tab[low.bit_length() - 1]")
+    w.w(5, f"addr = (({field!r}, value.time)")
+    w.w(5, "        if isinstance(value, PObj)")
+    w.w(5, f"        and {field!r} in all_fields(value.classname)")
+    w.w(5, "        else None)")
+    w.w(5, "addr_memo[low] = addr")
+    w.w(4, "if addr is not None:")
+    w.w(5, "fresh.append((low, addr))")
+    w.w(3, "if fresh:")
+    w.w(4, "if rows and fresh[0][0] < rows[-1][0]:")
+    w.w(5, "rows.extend(fresh)")
+    w.w(5, "rows.sort()")
+    w.w(4, "else:")
+    w.w(5, "rows.extend(fresh)")
     if dead:
-        w.w(3, "if addr is not None:")
-        w.w(4, "reads.add(addr)")
-        w.w(4, "store.get_mask(addr)")
+        w.w(2, "for low, addr in rows:")
+        w.w(3, "reads.add(addr)")
+        w.w(3, "store.get_mask(addr)")
         w.w(2, "return []")
         w.w(1, "return step")
         return
-    w.w(3, "if addr is None:")
-    w.w(4, "continue")
+    w.w(2, "get_mask = store.get_mask")
+    w.w(2, "joins = []")
+    w.w(2, "total = 0")
+    w.w(2, "for low, addr in rows:")
     w.w(3, "reads.add(addr)")
-    w.w(3, "field_values = store.get_mask(addr)")
+    w.w(3, "field_values = get_mask(addr)")
     w.w(3, "if field_values:")
     w.w(4, f"joins.append(({tgt}, field_values))")
-    _fj_succ_lines(w, 2)
-    w.w(2, "return [(succ, joins)]")
+    w.w(4, "total |= field_values")
+    w.w(2, "kont_ptr = config.kont_ptr")
+    w.w(2, "entry = succ_memo.get(kont_ptr)")
+    w.w(2, "if entry is None:")
+    w.w(3, "entry = [PConfig(following, (), kont_ptr, ()), None]")
+    w.w(3, "succ_memo[kont_ptr] = entry")
+    w.w(2, "emitted = entry[1]")
+    w.w(2, "if emitted is None:")
+    w.w(3, "entry[1] = total")
+    w.w(3, "return [(entry[0], joins)]")
+    w.w(2, "if total | emitted == emitted:")
+    w.w(3, "return []")
+    w.w(2, "entry[1] = emitted | total")
+    w.w(2, "return [(entry[0], joins)]")
     w.w(1, "return step")
 
 
 def _fj_return(w: _Writer, stmt):
     src = repr((stmt.var, _EMPTY))
-    # Interned tables get a *delta decode*: the kont mask at one
-    # ``kont_ptr`` address only ever grows, so each step decodes just
-    # the added bits (``kont_mask & ~prev``) and merges the new rows
-    # into a bit-ordered row list — full-mask decode order is exactly
-    # bit order, so the successor order is unchanged.  Each row also
+    # A *delta decode*: the kont mask at one ``kont_ptr`` address
+    # only ever grows, so each step decodes just the added bits
+    # (``kont_mask & ~prev``) and merges the new rows into a
+    # bit-ordered row list — full-mask decode order is exactly bit
+    # order, so the successor order is unchanged.  Each row also
     # carries the union of masks it has already joined into its
-    # target (``None`` until its first yield), letting a saturated
-    # row drop out of the successor list entirely.
+    # target (``None`` until its first yield), letting a saturated row
+    # drop out of the successor list entirely.
     w.w(1, "decode = table.decode")
-    w.w(1, "decode_iter = table.decode_iter")
     w.w(1, "kont_memo = {}")
-    w.w(1, "if table.interned:")
-    w.w(2, "values_tab = table._values")
-    w.w(2, "states = {}")
-    w.w(2, "")
-    w.w(2, "def step(config, store, reads, recorder):")
-    w.w(3, f"reads.add({src})")
-    w.w(3, f"values = store.get_mask({src})")
-    w.w(3, "kont_ptr = config.kont_ptr")
-    w.w(3, "if kont_ptr is HALT_PTR:")
-    w.w(4, "recorder.halt_values |= decode(values)")
-    w.w(4, "return []")
-    w.w(3, "reads.add(kont_ptr)")
-    w.w(3, "kont_mask = store.get_mask(kont_ptr)")
-    w.w(3, "state = states.get(kont_ptr)")
-    w.w(3, "if state is None:")
-    w.w(4, "state = [0, []]")
-    w.w(4, "states[kont_ptr] = state")
-    w.w(3, "rows = state[1]")
-    w.w(3, "if kont_mask != state[0]:")
-    w.w(4, "added = kont_mask & ~state[0]")
-    w.w(4, "state[0] = kont_mask")
-    w.w(4, "fresh = []")
-    w.w(4, "while added:")
-    w.w(5, "low = added & -added")
-    w.w(5, "added ^= low")
-    w.w(5, "pair = kont_memo.get(low, MISSING)")
-    w.w(5, "if pair is MISSING:")
-    w.w(6, "kont = values_tab[low.bit_length() - 1]")
-    w.w(6, "pair = None")
-    w.w(6, "if isinstance(kont, PKont):")
-    w.w(7, "pair = ((kont.var, kont.caller_entry),")
-    w.w(7, "        PConfig(kont.stmt, kont.caller_entry,")
-    w.w(7, "                kont.kont_ptr, ()))")
-    w.w(6, "kont_memo[low] = pair")
-    w.w(5, "if pair is not None:")
-    w.w(6, "fresh.append([low, pair[0], pair[1], None])")
-    w.w(4, "if fresh:")
-    w.w(5, "if rows and fresh[0][0] < rows[-1][0]:")
-    w.w(6, "rows.extend(fresh)")
-    w.w(6, "rows.sort(key=lambda row: row[0])")
-    w.w(5, "else:")
-    w.w(6, "rows.extend(fresh)")
-    w.w(3, "succs = []")
-    w.w(3, "for row in rows:")
-    w.w(4, "emitted = row[3]")
-    w.w(4, "if emitted is None:")
-    w.w(5, "row[3] = values")
-    w.w(5, "succs.append((row[2],")
-    w.w(5, "              [(row[1], values)] if values else []))")
-    w.w(4, "elif values | emitted != emitted:")
-    w.w(5, "row[3] = emitted | values")
-    w.w(5, "succs.append((row[2], [(row[1], values)]))")
-    w.w(3, "return succs")
-    w.w(2, "return step")
+    w.w(1, "values_tab = table._values")
+    w.w(1, "states = {}")
     w.w(1, "")
     w.w(1, "def step(config, store, reads, recorder):")
     w.w(2, f"reads.add({src})")
@@ -1595,21 +1419,46 @@ def _fj_return(w: _Writer, stmt):
     w.w(3, "recorder.halt_values |= decode(values)")
     w.w(3, "return []")
     w.w(2, "reads.add(kont_ptr)")
+    w.w(2, "kont_mask = store.get_mask(kont_ptr)")
+    w.w(2, "state = states.get(kont_ptr)")
+    w.w(2, "if state is None:")
+    w.w(3, "state = [0, []]")
+    w.w(3, "states[kont_ptr] = state")
+    w.w(2, "rows = state[1]")
+    w.w(2, "if kont_mask != state[0]:")
+    w.w(3, "added = kont_mask & ~state[0]")
+    w.w(3, "state[0] = kont_mask")
+    w.w(3, "fresh = []")
+    w.w(3, "while added:")
+    w.w(4, "low = added & -added")
+    w.w(4, "added ^= low")
+    w.w(4, "pair = kont_memo.get(low, MISSING)")
+    w.w(4, "if pair is MISSING:")
+    w.w(5, "kont = values_tab[low.bit_length() - 1]")
+    w.w(5, "pair = None")
+    w.w(5, "if isinstance(kont, PKont):")
+    w.w(6, "pair = ((kont.var, kont.caller_entry),")
+    w.w(6, "        PConfig(kont.stmt, kont.caller_entry,")
+    w.w(6, "                kont.kont_ptr, ()))")
+    w.w(5, "kont_memo[low] = pair")
+    w.w(4, "if pair is not None:")
+    w.w(5, "fresh.append([low, pair[0], pair[1], None])")
+    w.w(3, "if fresh:")
+    w.w(4, "if rows and fresh[0][0] < rows[-1][0]:")
+    w.w(5, "rows.extend(fresh)")
+    w.w(5, "rows.sort(key=lambda row: row[0])")
+    w.w(4, "else:")
+    w.w(5, "rows.extend(fresh)")
     w.w(2, "succs = []")
-    w.w(2, "for kont in decode_iter(store.get_mask(kont_ptr)):")
-    w.w(3, "entry = kont_memo.get(kont, MISSING)")
-    w.w(3, "if entry is MISSING:")
-    w.w(4, "entry = None")
-    w.w(4, "if isinstance(kont, PKont):")
-    w.w(5, "entry = ((kont.var, kont.caller_entry),")
-    w.w(5, "         PConfig(kont.stmt, kont.caller_entry,")
-    w.w(5, "                 kont.kont_ptr, ()))")
-    w.w(4, "kont_memo[kont] = entry")
-    w.w(3, "if entry is None:")
-    w.w(4, "continue")
-    w.w(3, "target, succ = entry")
-    w.w(3, "joins = [(target, values)] if values else []")
-    w.w(3, "succs.append((succ, joins))")
+    w.w(2, "for row in rows:")
+    w.w(3, "emitted = row[3]")
+    w.w(3, "if emitted is None:")
+    w.w(4, "row[3] = values")
+    w.w(4, "succs.append((row[2],")
+    w.w(4, "              [(row[1], values)] if values else []))")
+    w.w(3, "elif values | emitted != emitted:")
+    w.w(4, "row[3] = emitted | values")
+    w.w(4, "succs.append((row[2], [(row[1], values)]))")
     w.w(2, "return succs")
     w.w(1, "return step")
 
@@ -1628,129 +1477,86 @@ def _fj_invoke(w: _Writer, program, stmt, exp):
         w.w(1, "return step")
         return
     w.w(1, "lookup_method = program.lookup_method")
-    w.w(1, "decode_iter = table.decode_iter")
     w.w(1, "bit_for = table.bit_for")
     w.w(1, "dispatch_memo = {}")
     w.w(1, "plan_memo = {}")
     w.w(1, "kont_bits = {}")
     w.w(1, "recorded = set()")
-
-    def body(ind: int, interned: bool):
-        if interned:
-            # The receiver address is a per-node constant, so its
-            # mask only grows: decode just the added bits per step
-            # and accumulate the dispatch set.  ``sorted`` re-imposes
-            # the qualified-name order the per-step rebuild produced,
-            # so it only reruns when a new method actually appears.
-            w.w(ind, "values_tab = table._values")
-            w.w(ind, "dispatch_state = [0, {}, ()]")
-        w.w(ind, "")
-        w.w(ind, "def step(config, store, reads, recorder):")
-        b = ind + 1
-        w.w(b, f"reads.add({recv})")
-        w.w(b, f"receivers = store.get_mask({recv})")
-        for i, addr in enumerate(arg_addrs):
-            w.w(b, f"reads.add({addr!r})")
-            w.w(b, f"m{i} = store.get_mask({addr!r})")
-        if interned:
-            w.w(b, "if receivers != dispatch_state[0]:")
-            w.w(b + 1, "added = receivers & ~dispatch_state[0]")
-            w.w(b + 1, "dispatch_state[0] = receivers")
-            w.w(b + 1, "methods = dispatch_state[1]")
-            w.w(b + 1, "grew = False")
-            w.w(b + 1, "while added:")
-            w.w(b + 2, "low = added & -added")
-            w.w(b + 2, "added ^= low")
-            w.w(b + 2, "method = dispatch_memo.get(low, MISSING)")
-            w.w(b + 2, "if method is MISSING:")
-            w.w(b + 3, "value = values_tab[low.bit_length() - 1]")
-            w.w(b + 3, "method = None")
-            w.w(b + 3, "if isinstance(value, PObj):")
-            w.w(b + 4, f"found = lookup_method(value.classname, "
-                       f"{exp.method!r})")
-            w.w(b + 4, "if found is not None "
-                       f"and len(found.params) == {nargs}:")
-            w.w(b + 5, "method = found")
-            w.w(b + 3, "dispatch_memo[low] = method")
-            w.w(b + 2, "if method is not None:")
-            w.w(b + 3, "name = method.qualified_name")
-            w.w(b + 3, "if name not in methods:")
-            w.w(b + 4, "methods[name] = method")
-            w.w(b + 4, "grew = True")
-            w.w(b + 1, "if grew:")
-            w.w(b + 2, "dispatch_state[2] = sorted(methods.items())")
-            w.w(b, "dispatch = dispatch_state[2]")
-        else:
-            w.w(b, "methods = {}")
-            w.w(b, "for value in decode_iter(receivers):")
-            w.w(b + 1, "method = dispatch_memo.get(value, MISSING)")
-            w.w(b + 1, "if method is MISSING:")
-            w.w(b + 2, "method = None")
-            w.w(b + 2, "if isinstance(value, PObj):")
-            w.w(b + 3, f"found = lookup_method(value.classname, "
-                       f"{exp.method!r})")
-            w.w(b + 3, "if found is not None "
-                       f"and len(found.params) == {nargs}:")
-            w.w(b + 4, "method = found")
-            w.w(b + 2, "dispatch_memo[value] = method")
-            w.w(b + 1, "if method is not None:")
-            w.w(b + 2, "methods[method.qualified_name] = method")
-            w.w(b, "dispatch = sorted(methods.items())")
-        w.w(b, "kont_ptr = config.kont_ptr")
-        w.w(b, "succs = []")
-        w.w(b, "for qualified_name, method in dispatch:")
-        l = b + 1
-        w.w(l, "kont_bit = kont_bits.get(kont_ptr)")
-        w.w(l, "if kont_bit is None:")
-        w.w(l + 1, f"kont_bit = bit_for(PKont({stmt.var!r}, "
-                   f"following, (), (), kont_ptr))")
-        w.w(l + 1, "kont_bits[kont_ptr] = kont_bit")
-        w.w(l, "plan = plan_memo.get(qualified_name)")
-        w.w(l, "if plan is None:")
-        w.w(l + 1, "kont_addr = (qualified_name, ())")
-        w.w(l + 1, "param_addrs = tuple((name, ())"
-                   " for name in method.param_names())")
-        if interned:
-            w.w(l + 1, "plan = (kont_addr, param_addrs,")
-            w.w(l + 1, "        PConfig(method.body[0], (), "
-                       "kont_addr, ()),")
-            w.w(l + 1, "        new_shadow(store, (kont_addr, "
-                       "('this', ())) + param_addrs))")
-        else:
-            w.w(l + 1, "plan = (kont_addr, param_addrs,")
-            w.w(l + 1, "        PConfig(method.body[0], (), "
-                       "kont_addr, ()))")
-        w.w(l + 1, "plan_memo[qualified_name] = plan")
-        if interned:
-            w.w(l, "kont_addr, param_addrs, succ, shadow = plan")
-        else:
-            w.w(l, "kont_addr, param_addrs, succ = plan")
-        w.w(l, "if qualified_name not in recorded:")
-        w.w(l + 1, "recorded.add(qualified_name)")
-        w.w(l + 1, "recorder.invoke_targets.setdefault(")
-        w.w(l + 1, f"    {label}, set()).add(qualified_name)")
-        w.w(l + 1, "recorder.method_contexts.setdefault(")
-        w.w(l + 1, "    qualified_name, set()).add(())")
-        if interned:
-            names = ["kont_bit", "receivers"] + \
-                [f"m{i}" for i in range(nargs)]
-            targets = ["kont_addr", "('this', ())"] + \
-                [f"param_addrs[{i}]" for i in range(nargs)]
-            _emit_lane_diff(w, l, names, targets)
-        else:
-            w.w(l, "joins = [(kont_addr, kont_bit)]")
-            w.w(l, "if receivers:")
-            w.w(l + 1, "joins.append(((\"this\", ()), receivers))")
-            for i in range(nargs):
-                w.w(l, f"if m{i}:")
-                w.w(l + 1, f"joins.append((param_addrs[{i}], m{i}))")
-            w.w(l, "succs.append((succ, joins))")
-        w.w(b, "return succs")
-        w.w(ind, "return step")
-
-    w.w(1, "if table.interned:")
-    body(2, True)
-    body(1, False)
+    # The receiver address is a per-node constant, so its mask only
+    # grows: decode just the added bits per step and accumulate the
+    # dispatch set.  ``sorted`` re-imposes the qualified-name order the
+    # per-step rebuild produced, so it only reruns when a new method
+    # actually appears.
+    w.w(1, "values_tab = table._values")
+    w.w(1, "dispatch_state = [0, {}, ()]")
+    w.w(1, "")
+    w.w(1, "def step(config, store, reads, recorder):")
+    b = 2
+    w.w(b, f"reads.add({recv})")
+    w.w(b, f"receivers = store.get_mask({recv})")
+    for i, addr in enumerate(arg_addrs):
+        w.w(b, f"reads.add({addr!r})")
+        w.w(b, f"m{i} = store.get_mask({addr!r})")
+    w.w(b, "if receivers != dispatch_state[0]:")
+    w.w(b + 1, "added = receivers & ~dispatch_state[0]")
+    w.w(b + 1, "dispatch_state[0] = receivers")
+    w.w(b + 1, "methods = dispatch_state[1]")
+    w.w(b + 1, "grew = False")
+    w.w(b + 1, "while added:")
+    w.w(b + 2, "low = added & -added")
+    w.w(b + 2, "added ^= low")
+    w.w(b + 2, "method = dispatch_memo.get(low, MISSING)")
+    w.w(b + 2, "if method is MISSING:")
+    w.w(b + 3, "value = values_tab[low.bit_length() - 1]")
+    w.w(b + 3, "method = None")
+    w.w(b + 3, "if isinstance(value, PObj):")
+    w.w(b + 4, f"found = lookup_method(value.classname, "
+               f"{exp.method!r})")
+    w.w(b + 4, "if found is not None "
+               f"and len(found.params) == {nargs}:")
+    w.w(b + 5, "method = found")
+    w.w(b + 3, "dispatch_memo[low] = method")
+    w.w(b + 2, "if method is not None:")
+    w.w(b + 3, "name = method.qualified_name")
+    w.w(b + 3, "if name not in methods:")
+    w.w(b + 4, "methods[name] = method")
+    w.w(b + 4, "grew = True")
+    w.w(b + 1, "if grew:")
+    w.w(b + 2, "dispatch_state[2] = sorted(methods.items())")
+    w.w(b, "dispatch = dispatch_state[2]")
+    w.w(b, "kont_ptr = config.kont_ptr")
+    w.w(b, "succs = []")
+    w.w(b, "for qualified_name, method in dispatch:")
+    l = b + 1
+    w.w(l, "kont_bit = kont_bits.get(kont_ptr)")
+    w.w(l, "if kont_bit is None:")
+    w.w(l + 1, f"kont_bit = bit_for(PKont({stmt.var!r}, "
+               f"following, (), (), kont_ptr))")
+    w.w(l + 1, "kont_bits[kont_ptr] = kont_bit")
+    w.w(l, "plan = plan_memo.get(qualified_name)")
+    w.w(l, "if plan is None:")
+    w.w(l + 1, "kont_addr = (qualified_name, ())")
+    w.w(l + 1, "param_addrs = tuple((name, ())"
+               " for name in method.param_names())")
+    w.w(l + 1, "plan = (kont_addr, param_addrs,")
+    w.w(l + 1, "        PConfig(method.body[0], (), "
+               "kont_addr, ()),")
+    w.w(l + 1, "        new_shadow(store, (kont_addr, "
+               "('this', ())) + param_addrs))")
+    w.w(l + 1, "plan_memo[qualified_name] = plan")
+    w.w(l, "kont_addr, param_addrs, succ, shadow = plan")
+    w.w(l, "if qualified_name not in recorded:")
+    w.w(l + 1, "recorded.add(qualified_name)")
+    w.w(l + 1, "recorder.invoke_targets.setdefault(")
+    w.w(l + 1, f"    {label}, set()).add(qualified_name)")
+    w.w(l + 1, "recorder.method_contexts.setdefault(")
+    w.w(l + 1, "    qualified_name, set()).add(())")
+    names = ["kont_bit", "receivers"] + [f"m{i}" for i in range(nargs)]
+    targets = ["kont_addr", "('this', ())"] + \
+        [f"param_addrs[{i}]" for i in range(nargs)]
+    _emit_lane_diff(w, l, names, targets)
+    w.w(b, "return succs")
+    w.w(1, "return step")
 
 
 def _fj_new(w: _Writer, program, stmt, exp):

@@ -289,12 +289,13 @@ class AbsStore:
     __slots__ = ("table", "_empty", "_map", "_versions", "join_count",
                  "clock")
 
-    def __init__(self, table=None):
-        if table is None:
-            from repro.analysis.interning import ValueTable
-            table = ValueTable()
+    def __init__(self):
+        # Resolved per store, never bound at import: the tests'
+        # frozenset oracle (tests/plain_domain.py) swaps the table in
+        # by rebinding ``interning.ValueTable``.
+        from repro.analysis.interning import ValueTable
         #: The value table interning this store's flow sets.
-        self.table = table
+        self.table = table = ValueTable()
         self._empty = table.empty
         self._map: dict[Addr, object] = {}  # addr -> mask
         self._versions: dict[Addr, int] = {}
@@ -329,10 +330,7 @@ class AbsStore:
             self._grew(addr)
             return True
         merged = current | mask
-        if type(merged) is int:
-            if merged == current:
-                return False
-        elif len(merged) == len(current):  # frozenset (PlainTable)
+        if merged == current:
             return False
         self._map[addr] = merged
         self._grew(addr)

@@ -168,17 +168,15 @@ class EngineOptions:
       ``(config, frozen_store) -> frozen_store`` applied to every
       successor state before dedup (abstract garbage collection);
       ``None`` disables collection.
-    * ``table_factory`` — constructs the per-run value table
-      (:mod:`repro.analysis.interning`).  ``None`` means the interned
-      bitset representation (:class:`~repro.analysis.interning.
-      ValueTable`); pass :class:`~repro.analysis.interning.PlainTable`
-      to run the same machine in the pre-interning object domain.
+
+    Flow sets are always interned into the bitset table each run's
+    :class:`~repro.analysis.domains.AbsStore` builds
+    (:mod:`repro.analysis.interning`).
     """
 
     budget: Budget | None = None
     lifo: bool = False
     collect: Callable[[object, FrozenStore], FrozenStore] | None = None
-    table_factory: Callable[[], object] | None = None
 
 
 @dataclass
@@ -223,8 +221,7 @@ def run_single_store(machine: Machine, recorder,
     budget = options.budget or Budget()
     budget.ensure_started()
     worklist: DependencyWorklist = DependencyWorklist()
-    factory = options.table_factory
-    store = AbsStore(factory() if factory is not None else None)
+    store = AbsStore()
     worklist.add(machine.boot(store))
     # The loop below inlines the worklist's pop/record/add/dirty
     # operations against its internals — the driver and the worklist
@@ -348,8 +345,7 @@ def run_naive(machine: Machine, recorder,
     budget = options.budget or Budget()
     budget.ensure_started()
     collect = options.collect
-    factory = options.table_factory
-    seed = AbsStore(factory() if factory is not None else None)
+    seed = AbsStore()
     table = seed.table
     decode = table.decode
     initial = machine.boot(seed)

@@ -34,7 +34,6 @@ from repro.cps.syntax import Lam
 from repro.analysis.domains import FlatEnvAbs
 from repro.analysis.engine import DEFAULT_TIER, EngineOptions, \
     codegen_stage, machine_path, run_single_store, specialize
-from repro.analysis.interning import PlainTable
 from repro.analysis.kernel import (
     FConfig, FlatEnv, Kernel, Recorder, result_from_run,
 )
@@ -62,7 +61,6 @@ class FlatMachine(Kernel):
 def analyze_flat(program: Program, allocator: EnvAllocator,
                  analysis: str, parameter: int,
                  budget: Budget | None = None,
-                 plain: bool = False,
                  tier: str = DEFAULT_TIER) -> AnalysisResult:
     """Run the flat machine to fixpoint with a single-threaded store.
 
@@ -78,10 +76,8 @@ def analyze_flat(program: Program, allocator: EnvAllocator,
     staged = codegen_stage(machine, tier == "codegen")
     machine = staged if staged is not None \
         else specialize(machine, tier != "generic")
-    run = run_single_store(
-        machine, Recorder(),
-        EngineOptions(budget=budget,
-                      table_factory=PlainTable if plain else None))
+    run = run_single_store(machine, Recorder(),
+                           EngineOptions(budget=budget))
     result = result_from_run(run, program, analysis, parameter)
     result.engine_path = machine_path(machine)
     return result

@@ -91,17 +91,13 @@ def collect(config: KConfig, store: FrozenStore) -> FrozenStore:
 
 
 def analyze_kcfa_gc(program: Program, k: int = 1,
-                    budget: Budget | None = None,
-                    plain: bool = False) -> AnalysisResult:
+                    budget: Budget | None = None) -> AnalysisResult:
     """k-CFA with abstract garbage collection at every transition.
 
     Runs the shared naive reachable-states driver (per-state stores
     are what make collection possible) with :func:`collect` as the
     engine's GC policy, so every state is collected before it expands.
     """
-    from repro.analysis.interning import PlainTable
-    run = run_naive(
-        KCFAMachine(program, k), Recorder(),
-        EngineOptions(budget=budget, collect=collect,
-                      table_factory=PlainTable if plain else None))
+    run = run_naive(KCFAMachine(program, k), Recorder(),
+                    EngineOptions(budget=budget, collect=collect))
     return result_from_run(run, program, "k-CFA+GC", k)

@@ -75,18 +75,17 @@ class AnalysisSession:
     """One program's latest cold analysis result, editable and
     queryable."""
 
-    __slots__ = ("analysis", "parameter", "plain", "program", "result",
-                 "state", "edits", "_machine")
+    __slots__ = ("analysis", "parameter", "program", "result", "state",
+                 "edits", "_machine")
 
     def __init__(self, program: Program, analysis: str, parameter: int,
-                 plain: bool = False, budget: Budget | None = None):
+                 budget: Budget | None = None):
         if analysis not in SESSION_ANALYSES:
             raise UsageError(
                 f"analysis {analysis!r} does not support sessions; "
                 f"choose from {', '.join(SESSION_ANALYSES)}")
         self.analysis = analysis
         self.parameter = parameter
-        self.plain = plain
         self.edits = 0
         self._analyze(program, budget)
 
@@ -94,8 +93,7 @@ class AnalysisSession:
         # Nothing is adopted until the run completes: a timeout
         # leaves the previous result in place.
         result = run_analysis(self.analysis, program, self.parameter,
-                              budget, plain=self.plain,
-                              language="scheme")
+                              budget, language="scheme")
         self.program = program
         self.result = result
         self.state = SessionState(result.configs)

@@ -14,18 +14,14 @@ set* as a Python ``int`` used as a bitmask.  Then
 * membership of ⊤basic is one AND;
 * "could this be truthy/falsy" is one AND against a precomputed mask.
 
-Two table implementations share one protocol so the abstract machines
-are representation-agnostic:
-
-* :class:`ValueTable` — the interned representation.  ``bit_for``
-  hash-conses a value to a single-bit ``int``; masks are ints.
-* :class:`PlainTable` — the identity representation.  ``bit_for``
-  returns a singleton ``frozenset``; masks are frozensets, ``|`` is
-  set union and truthiness/emptiness behave identically.  This is the
-  pre-interning object domain, kept alive so the equivalence test
-  (``tests/test_interning.py``) and the benchmark runner's
-  ``--values plain`` mode can measure interned against non-interned
-  runs of the *same* machine code.
+:class:`ValueTable` is the only representation the program runs:
+``bit_for`` hash-conses a value to a single-bit ``int`` and masks are
+ints.  Apart from the generated step code (:mod:`repro.analysis.
+codegen`, which works on the bits directly), the machines touch masks
+only through ``|``, ``&``, equality, falsiness-when-empty and this
+table's methods.  That is what lets the tests run the same machine
+code over frozensets as an oracle: they rebind :class:`ValueTable`,
+the table every :class:`~repro.analysis.domains.AbsStore` builds.
 
 A table is per-analysis-run state (created by
 :class:`~repro.analysis.domains.AbsStore`); masks from different
@@ -36,18 +32,11 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.analysis.domains import EMPTY, maybe_falsy, maybe_truthy
-
-#: A flow-set mask: ``int`` under :class:`ValueTable`, ``frozenset``
-#: under :class:`PlainTable`.  Both support ``|``, ``&``, equality and
-#: falsiness-when-empty, which is all the machines and stores use.
-Mask = object  # int | frozenset
+from repro.analysis.domains import maybe_falsy, maybe_truthy
 
 
 class ValueTable:
     """Hash-consing table: abstract value ↔ one bit of an int mask."""
-
-    interned = True
 
     __slots__ = ("_bits", "_values", "_truthy", "_falsy",
                  "_decode_memo", "_encode_memo")
@@ -126,52 +115,3 @@ class ValueTable:
         """Could any value in *mask* be the concrete value #f?"""
         return bool(mask & self._falsy)
 
-
-class PlainTable:
-    """The identity table: masks *are* frozensets of abstract values.
-
-    Every operation the machines perform on masks (``|``, ``&``,
-    equality, truthiness) means the same thing on frozensets, so the
-    same machine code runs in the pre-interning object domain.  This
-    is the reference implementation the interned runs are checked and
-    benchmarked against.
-    """
-
-    interned = False
-
-    __slots__ = ("_singletons",)
-
-    #: The empty flow set.
-    empty = EMPTY
-
-    def __init__(self):
-        self._singletons: dict[object, frozenset] = {}
-
-    def __len__(self) -> int:
-        return len(self._singletons)
-
-    def bit_for(self, value) -> frozenset:
-        mask = self._singletons.get(value)
-        if mask is None:
-            mask = frozenset({value})
-            self._singletons[value] = mask
-        return mask
-
-    def encode(self, values: Iterable) -> frozenset:
-        return values if isinstance(values, frozenset) \
-            else frozenset(values)
-
-    def decode(self, mask: frozenset) -> frozenset:
-        return mask
-
-    def decode_iter(self, mask: frozenset) -> Iterator:
-        return iter(mask)
-
-    def mask_len(self, mask: frozenset) -> int:
-        return len(mask)
-
-    def any_truthy(self, mask: frozenset) -> bool:
-        return any(maybe_truthy(value) for value in mask)
-
-    def any_falsy(self, mask: frozenset) -> bool:
-        return any(maybe_falsy(value) for value in mask)

@@ -32,7 +32,6 @@ from __future__ import annotations
 from repro.cps.program import Program
 from repro.analysis.engine import DEFAULT_TIER, EngineOptions, \
     machine_path, run_naive, run_single_store, specialize
-from repro.analysis.interning import PlainTable
 from repro.analysis.kernel import (
     KConfig, Kernel, Recorder, SharedEnv, result_from_run,
 )
@@ -60,38 +59,31 @@ class KCFAMachine(Kernel):
 
 def analyze_kcfa(program: Program, k: int = 1,
                  budget: Budget | None = None,
-                 plain: bool = False,
                  tier: str = DEFAULT_TIER) -> AnalysisResult:
     """Run k-CFA with the single-threaded store (§3.7).
 
     Raises :class:`~repro.errors.AnalysisTimeout` when the budget is
     exceeded — callers reproducing the worst-case table catch it and
-    report ∞.  ``plain=True`` runs the pre-interning object domain
-    (for equivalence tests and before/after benchmarking); every
-    ``tier`` but ``generic`` selects the pre-bound shared-env step
-    loop (there is no generated-source tier for shared environments).
+    report ∞.  Every ``tier`` but ``generic`` selects the pre-bound
+    shared-env step loop (there is no generated-source tier for shared
+    environments).
     """
     machine = specialize(KCFAMachine(program, k), tier != "generic")
-    run = run_single_store(
-        machine, Recorder(),
-        EngineOptions(budget=budget,
-                      table_factory=PlainTable if plain else None))
+    run = run_single_store(machine, Recorder(),
+                           EngineOptions(budget=budget))
     result = result_from_run(run, program, "k-CFA", k)
     result.engine_path = machine_path(machine)
     return result
 
 
 def analyze_kcfa_naive(program: Program, k: int = 1,
-                       budget: Budget | None = None,
-                       plain: bool = False) -> AnalysisResult:
+                       budget: Budget | None = None) -> AnalysisResult:
     """Run k-CFA by naive reachable-states exploration (§3.6).
 
     The system-space is P(Σ̂): states carry whole stores, so state
     counts explode even for k = 0 — which is the paper's point.  Use
     only on small programs, with a budget.
     """
-    run = run_naive(
-        KCFAMachine(program, k), Recorder(),
-        EngineOptions(budget=budget,
-                      table_factory=PlainTable if plain else None))
+    run = run_naive(KCFAMachine(program, k), Recorder(),
+                    EngineOptions(budget=budget))
     return result_from_run(run, program, "k-CFA-naive", k)

@@ -23,7 +23,6 @@ from repro.util.budget import Budget
 
 def analyze_mcfa(program: Program, m: int = 1,
                  budget: Budget | None = None,
-                 plain: bool = False,
                  tier: str = DEFAULT_TIER) -> AnalysisResult:
     """Run m-CFA to fixpoint.
 
@@ -34,4 +33,4 @@ def analyze_mcfa(program: Program, m: int = 1,
     if m < 0:
         raise UsageError(f"m must be non-negative, got {m}")
     return analyze_flat(program, mcfa_allocator(m), "m-CFA", m, budget,
-                        plain=plain, tier=tier)
+                        tier=tier)

@@ -21,11 +21,9 @@ from repro.util.budget import Budget
 
 def analyze_poly_kcfa(program: Program, k: int = 1,
                       budget: Budget | None = None,
-                      plain: bool = False,
                       tier: str = DEFAULT_TIER) -> AnalysisResult:
     """Run naive polynomial k-CFA to fixpoint."""
     if k < 0:
         raise UsageError(f"k must be non-negative, got {k}")
     return analyze_flat(program, poly_kcfa_allocator(k),
-                        "poly-k-CFA", k, budget, plain=plain,
-                        tier=tier)
+                        "poly-k-CFA", k, budget, tier=tier)

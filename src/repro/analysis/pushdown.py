@@ -21,7 +21,6 @@ from __future__ import annotations
 from repro.cps.program import Program
 from repro.analysis.engine import DEFAULT_TIER, EngineOptions, \
     machine_path, run_single_store, specialize
-from repro.analysis.interning import PlainTable
 from repro.analysis.kernel import (
     FConfig, Kernel, Recorder, SummaryEnv, result_from_run,
 )
@@ -41,7 +40,6 @@ class SummaryMachine(Kernel):
 
 def analyze_pushdown(program: Program,
                      budget: Budget | None = None,
-                     plain: bool = False,
                      tier: str = DEFAULT_TIER) -> AnalysisResult:
     """Run the pushdown-summary analysis to fixpoint.
 
@@ -52,10 +50,8 @@ def analyze_pushdown(program: Program,
     ``specialized`` knob off to advertise that honestly.
     """
     machine = specialize(SummaryMachine(program), tier != "generic")
-    run = run_single_store(
-        machine, Recorder(),
-        EngineOptions(budget=budget,
-                      table_factory=PlainTable if plain else None))
+    run = run_single_store(machine, Recorder(),
+                           EngineOptions(budget=budget))
     result = result_from_run(run, program, "pushdown", 0)
     result.engine_path = machine_path(machine)
     return result

@@ -30,8 +30,8 @@ from repro.errors import UsageError
 class AnalysisSpec:
     """One analysis as a data point on the kernel's policy axis.
 
-    ``factory(program, parameter, budget, plain, tier=...,
-    obj_depth=...)`` runs the analysis; ``concrete`` names the
+    ``factory(program, parameter, budget, tier=..., obj_depth=...)``
+    runs the analysis; ``concrete`` names the
     concrete machine mode the soundness property suite checks the
     analysis against (``shared-history``, ``flat-stack``,
     ``flat-history``, ``summary-stack`` for Scheme; ``fj`` for
@@ -59,7 +59,7 @@ class AnalysisSpec:
     engine: str            # "single-store" | "naive" | "naive+gc"
     context: str           # the tick/alloc policy, in words
     complexity: str        # per the paper, e.g. "EXPTIME-complete"
-    factory: Callable      # (program, parameter, budget, plain, ...)
+    factory: Callable      # (program, parameter, budget, ...)
     concrete: str | None = None
     paper: str = ""        # section reference
     specialized: bool = False
@@ -68,8 +68,7 @@ class AnalysisSpec:
     takes_obj_depth: bool = False
 
     def run(self, program, parameter: int, budget=None,
-            plain: bool = False, tier: str | None = None,
-            obj_depth: int | None = None):
+            tier: str | None = None, obj_depth: int | None = None):
         """Run this analysis; the parameter is the k/m/n depth.
 
         ``tier`` overrides the engine tier
@@ -88,8 +87,8 @@ class AnalysisSpec:
         if tier not in TIERS:
             raise ValueError(f"unknown engine tier {tier!r}; choose "
                              f"from {', '.join(TIERS)}")
-        return self.factory(program, parameter, budget, plain,
-                            tier=tier, obj_depth=obj_depth)
+        return self.factory(program, parameter, budget, tier=tier,
+                            obj_depth=obj_depth)
 
     def reported_parameter(self, parameter: int) -> int:
         """The depth a result of this analysis reports when run at
@@ -190,13 +189,11 @@ def registry() -> AnalysisRegistry:
 
 
 def run_analysis(name: str, program, parameter: int, budget=None,
-                 plain: bool = False, language: str | None = None,
-                 tier: str | None = None,
+                 language: str | None = None, tier: str | None = None,
                  obj_depth: int | None = None):
     """Dispatch one analysis by registry name."""
     return registry().get(name, language).run(
-        program, parameter, budget, plain, tier=tier,
-        obj_depth=obj_depth)
+        program, parameter, budget, tier=tier, obj_depth=obj_depth)
 
 
 # -- the builtin analyses -------------------------------------------------
@@ -207,89 +204,66 @@ def run_analysis(name: str, program, parameter: int, budget=None,
 
 
 def _register_builtin(table: AnalysisRegistry) -> None:
-    # Factories take (program, parameter, budget, plain) positionally
+    # Factories take (program, parameter, budget) positionally
     # plus the keyword-only options AnalysisSpec.run threads through:
     # ``tier`` (validated in run(); the naive drivers have a single
     # tier and ignore it) and ``obj_depth`` (hybrid ladder only —
     # validated in run()).
 
-    def kcfa(program, parameter, budget, plain, *, tier,
-             obj_depth=None):
+    def kcfa(program, parameter, budget, *, tier, obj_depth=None):
         from repro.analysis.kcfa import analyze_kcfa
-        return analyze_kcfa(program, parameter, budget, plain=plain,
-                            tier=tier)
+        return analyze_kcfa(program, parameter, budget, tier=tier)
 
-    def mcfa(program, parameter, budget, plain, *, tier,
-             obj_depth=None):
+    def mcfa(program, parameter, budget, *, tier, obj_depth=None):
         from repro.analysis.mcfa import analyze_mcfa
-        return analyze_mcfa(program, parameter, budget, plain=plain,
-                            tier=tier)
+        return analyze_mcfa(program, parameter, budget, tier=tier)
 
-    def poly(program, parameter, budget, plain, *, tier,
-             obj_depth=None):
+    def poly(program, parameter, budget, *, tier, obj_depth=None):
         from repro.analysis.polykcfa import analyze_poly_kcfa
-        return analyze_poly_kcfa(program, parameter, budget,
-                                 plain=plain, tier=tier)
+        return analyze_poly_kcfa(program, parameter, budget, tier=tier)
 
-    def zero(program, parameter, budget, plain, *, tier,
-             obj_depth=None):
+    def zero(program, parameter, budget, *, tier, obj_depth=None):
         from repro.analysis.zerocfa import analyze_zerocfa
-        return analyze_zerocfa(program, budget, plain=plain, tier=tier)
+        return analyze_zerocfa(program, budget, tier=tier)
 
-    def pushdown(program, parameter, budget, plain, *, tier,
-                 obj_depth=None):
+    def pushdown(program, parameter, budget, *, tier, obj_depth=None):
         from repro.analysis.pushdown import analyze_pushdown
-        return analyze_pushdown(program, budget, plain=plain,
-                                tier=tier)
+        return analyze_pushdown(program, budget, tier=tier)
 
-    def kcfa_gc(program, parameter, budget, plain, *, tier,
-                obj_depth=None):
+    def kcfa_gc(program, parameter, budget, *, tier, obj_depth=None):
         from repro.analysis.gc import analyze_kcfa_gc
-        return analyze_kcfa_gc(program, parameter, budget, plain=plain)
+        return analyze_kcfa_gc(program, parameter, budget)
 
-    def kcfa_naive(program, parameter, budget, plain, *, tier,
-                   obj_depth=None):
+    def kcfa_naive(program, parameter, budget, *, tier, obj_depth=None):
         from repro.analysis.kcfa import analyze_kcfa_naive
-        return analyze_kcfa_naive(program, parameter, budget,
-                                  plain=plain)
+        return analyze_kcfa_naive(program, parameter, budget)
 
-    def fj_kcfa(program, parameter, budget, plain, *, tier,
-                obj_depth=None):
+    def fj_kcfa(program, parameter, budget, *, tier, obj_depth=None):
         from repro.fj.kcfa import analyze_fj_kcfa
-        return analyze_fj_kcfa(program, parameter, budget=budget,
-                               plain=plain)
+        return analyze_fj_kcfa(program, parameter, budget=budget)
 
-    def fj_poly(program, parameter, budget, plain, *, tier,
-                obj_depth=None):
+    def fj_poly(program, parameter, budget, *, tier, obj_depth=None):
         from repro.fj.poly import analyze_fj_poly
-        return analyze_fj_poly(program, parameter, budget=budget,
-                               plain=plain, tier=tier)
+        return analyze_fj_poly(program, parameter, budget=budget, tier=tier)
 
-    def fj_kcfa_gc(program, parameter, budget, plain, *, tier,
-                   obj_depth=None):
+    def fj_kcfa_gc(program, parameter, budget, *, tier, obj_depth=None):
         from repro.fj.gc import analyze_fj_kcfa_gc
-        return analyze_fj_kcfa_gc(program, parameter, budget=budget,
-                                  plain=plain)
+        return analyze_fj_kcfa_gc(program, parameter, budget=budget)
 
-    def fj_mcfa(program, parameter, budget, plain, *, tier,
-                obj_depth=None):
+    def fj_mcfa(program, parameter, budget, *, tier, obj_depth=None):
         from repro.fj.mcfa import analyze_fj_mcfa
-        return analyze_fj_mcfa(program, parameter, budget=budget,
-                               plain=plain, tier=tier)
+        return analyze_fj_mcfa(program, parameter, budget=budget, tier=tier)
 
-    def fj_hybrid(program, parameter, budget, plain, *, tier,
-                  obj_depth=None):
+    def fj_hybrid(program, parameter, budget, *, tier, obj_depth=None):
         from repro.fj.hybrid import analyze_fj_hybrid
         return analyze_fj_hybrid(
             program, parameter,
             obj_depth=1 if obj_depth is None else obj_depth,
-            budget=budget, plain=plain, tier=tier)
+            budget=budget, tier=tier)
 
-    def fj_obj(program, parameter, budget, plain, *, tier,
-               obj_depth=None):
+    def fj_obj(program, parameter, budget, *, tier, obj_depth=None):
         from repro.fj.hybrid import analyze_fj_obj
-        return analyze_fj_obj(program, parameter, budget=budget,
-                              plain=plain, tier=tier)
+        return analyze_fj_obj(program, parameter, budget=budget, tier=tier)
 
     table.register(AnalysisSpec(
         name="kcfa", display="k-CFA", language="scheme",

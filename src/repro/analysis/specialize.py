@@ -36,8 +36,8 @@ Within a primitive step, the continuation atom and the pair bit are
 compiled lazily past the empty-argument bail-out for the same reason.
 
 ``tests/test_specialize.py`` holds every registered analysis to that
-contract across both value domains, selecting the tier through the
-run functions' ``tier`` keyword.
+contract, in the bitset domain and in the tests' frozenset oracle,
+selecting the tier through the run functions' ``tier`` keyword.
 """
 
 from __future__ import annotations

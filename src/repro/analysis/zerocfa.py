@@ -22,7 +22,6 @@ from repro.util.budget import Budget
 
 def analyze_zerocfa(program: Program,
                     budget: Budget | None = None,
-                    plain: bool = False,
                     tier: str = DEFAULT_TIER) -> AnalysisResult:
     """Run 0CFA (m-CFA with m = 0) to fixpoint.
 
@@ -31,4 +30,4 @@ def analyze_zerocfa(program: Program,
     the other tiers run the generic kernel.
     """
     return analyze_flat(program, mcfa_allocator(0), "0CFA", 0, budget,
-                        plain=plain, tier=tier)
+                        tier=tier)

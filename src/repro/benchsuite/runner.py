@@ -38,13 +38,12 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
 from repro.errors import AnalysisTimeout, UsageError
-# The analysis names, value modes and per-analysis dispatch are owned
+# The analysis names and per-analysis dispatch are owned
 # by the central registry (via the shared job core) so that ``bench``
 # workers and the analysis service run literally the same code path —
 # a newly registered analysis is benchable with no edits here.
 from repro.service.jobs import (
-    FJ_ANALYSES, SCHEME_ANALYSES, VALUE_MODES, run_fj_analysis,
-    run_scheme_analysis,
+    FJ_ANALYSES, SCHEME_ANALYSES, run_fj_analysis, run_scheme_analysis,
 )
 from repro.util.budget import Budget
 
@@ -122,11 +121,10 @@ class BenchTask:
     worst-case ladder name (``worst8``) or an FJ example name
     (``pairs``, ``dispatch``, ...); ``copies`` scales Scheme suite
     programs via :func:`repro.benchsuite.scaling.scaled_source` and is
-    ignored for generated and FJ programs.  ``values`` selects the
-    value-domain representation (see :data:`VALUE_MODES`);
-    ``obj_depth`` the hybrid ladder's receiver-chain depth
-    (fj-hybrid only).  Tasks run one-shot, so they take the default
-    engine tier; each row's ``engine_path`` records which loop ran.
+    ignored for generated and FJ programs.  ``obj_depth`` is the
+    hybrid ladder's receiver-chain depth (fj-hybrid only).  Tasks run
+    one-shot, so they take the default engine tier; each row's
+    ``engine_path`` records which loop ran.
     """
 
     program: str
@@ -134,22 +132,15 @@ class BenchTask:
     parameter: int
     copies: int = 1
     timeout: float = 30.0
-    values: str = "interned"
     obj_depth: int | None = None
-    #: Run the analysis this many times and report the fastest
-    #: ``elapsed`` (min-of-N, the standard noise filter for committed
-    #: numbers).  The result columns are identical across repeats —
-    #: only the timing of the best run is kept.
-    repeat: int = 1
 
     @property
     def task_id(self) -> str:
         scale = f"x{self.copies}" if self.copies > 1 else ""
         obj = f",obj={self.obj_depth}" if self.obj_depth is not None \
             else ""
-        mode = f"[{self.values}]" if self.values != "interned" else ""
         return (f"{self.program}{scale}:{self.analysis}"
-                f"({self.parameter}{obj}){mode}")
+                f"({self.parameter}{obj})")
 
 
 def task_source(task: BenchTask) -> str:
@@ -180,59 +171,29 @@ def task_source(task: BenchTask) -> str:
     return ALL_EXAMPLES[task.program]
 
 
-def _best_of(task: BenchTask, budget: Budget, run_once) -> dict:
-    """Run a cell ``task.repeat`` times; keep the summary of the
-    fastest run (its ``elapsed`` is the reported timing).
-
-    The budget clock is restarted per run: ``task.timeout`` bounds
-    each *analysis*, not the whole repeat loop — otherwise a cell
-    near ``timeout / repeat`` would spuriously report ``timeout`` on
-    a later repetition of a run that individually fits.
-    """
-    best = None
-    for _ in range(max(1, task.repeat)):
-        budget.start()
-        result = run_once()
-        if best is None or result.elapsed < best.elapsed:
-            best = result
-    summary = best.summary()
-    summary["engine_path"] = getattr(best, "engine_path", "generic")
-    return summary
-
-
-def _run_scheme_task(task: BenchTask, budget: Budget) -> dict:
+def _scheme_program(task: BenchTask):
     from repro.benchsuite.programs import BY_NAME
     from repro.benchsuite.scaling import scaled_program
     from repro.generators.worstcase import worst_case_program
 
     if is_worst_case_name(task.program):
-        program = worst_case_program(worst_case_depth(task.program))
-    elif task.copies > 1:
-        program = scaled_program(task.program, task.copies)
-    else:
-        program = BY_NAME[task.program].compile()
-    return _best_of(task, budget, lambda: run_scheme_analysis(
-        program, task.analysis, task.parameter, budget,
-        plain=task.values == "plain", obj_depth=task.obj_depth))
+        return worst_case_program(worst_case_depth(task.program))
+    if task.copies > 1:
+        return scaled_program(task.program, task.copies)
+    return BY_NAME[task.program].compile()
 
 
-def _run_fj_task(task: BenchTask, budget: Budget) -> dict:
+def _fj_program(task: BenchTask):
     from repro.fj import parse_fj
     from repro.fj.examples import ALL_EXAMPLES
     from repro.generators.fj_chain import fj_chain_source
     from repro.generators.fj_random import fj_random_source
 
     if is_fj_chain_name(task.program):
-        program = parse_fj(fj_chain_source(
-            fj_chain_depth(task.program)))
-    elif is_fj_random_name(task.program):
-        program = parse_fj(fj_random_source(
-            fj_random_seed(task.program)))
-    else:
-        program = parse_fj(ALL_EXAMPLES[task.program])
-    return _best_of(task, budget, lambda: run_fj_analysis(
-        program, task.analysis, task.parameter, budget,
-        plain=task.values == "plain", obj_depth=task.obj_depth))
+        return parse_fj(fj_chain_source(fj_chain_depth(task.program)))
+    if is_fj_random_name(task.program):
+        return parse_fj(fj_random_source(fj_random_seed(task.program)))
+    return parse_fj(ALL_EXAMPLES[task.program])
 
 
 def run_task(task: BenchTask) -> dict:
@@ -250,8 +211,6 @@ def run_task(task: BenchTask) -> dict:
         "parameter": task.parameter,
         "copies": task.copies,
         "timeout": task.timeout,
-        "values": task.values,
-        "repeat": task.repeat,
         "pid": os.getpid(),
     }
     if task.obj_depth is not None:
@@ -261,9 +220,16 @@ def run_task(task: BenchTask) -> dict:
     try:
         from repro.analysis.registry import registry
         if registry().get(task.analysis).language == "fj":
-            summary = _run_fj_task(task, budget)
+            program, run = _fj_program(task), run_fj_analysis
         else:
-            summary = _run_scheme_task(task, budget)
+            program, run = _scheme_program(task), run_scheme_analysis
+        # The budget bounds the analysis, not the compile.
+        budget.start()
+        result = run(program, task.analysis, task.parameter, budget,
+                     obj_depth=task.obj_depth)
+        summary = result.summary()
+        summary["engine_path"] = getattr(result, "engine_path",
+                                         "generic")
         # The task's identity keys (analysis, parameter, ...) stay
         # authoritative so BENCH_*.json rows group consistently
         # across statuses; the summary's display name would differ
@@ -283,11 +249,9 @@ def run_task(task: BenchTask) -> dict:
 def build_matrix(programs: Iterable[str], analyses: Iterable[str],
                  contexts: Iterable[int], copies: int = 1,
                  timeout: float = 30.0,
-                 values: Iterable[str] = ("interned",),
-                 obj_depths: Iterable[int] | None = None,
-                 repeat: int = 1) -> list[BenchTask]:
-    """Expand program × analysis × context × value-mode (×
-    obj-depth) into tasks.
+                 obj_depths: Iterable[int] | None = None
+                 ) -> list[BenchTask]:
+    """Expand program × analysis × context (× obj-depth) into tasks.
 
     Scheme analyses pair with Scheme programs (suite names or
     ``worst<depth>`` ladder terms) and FJ analyses with FJ programs;
@@ -308,7 +272,6 @@ def build_matrix(programs: Iterable[str], analyses: Iterable[str],
     # task_id and make the report's row order nondeterministic.
     programs = list(dict.fromkeys(programs))
     analyses = list(dict.fromkeys(analyses))
-    value_modes = list(dict.fromkeys(values))
     depth_axis = None if obj_depths is None \
         else sorted(set(obj_depths))
     # Consult the registry live (not the import-time tuples) so an
@@ -319,12 +282,6 @@ def build_matrix(programs: Iterable[str], analyses: Iterable[str],
         raise UsageError(
             f"unknown analyses {unknown!r}; choose from "
             f"{', '.join(table.names())}")
-    unknown_modes = [mode for mode in value_modes
-                     if mode not in VALUE_MODES]
-    if unknown_modes:
-        raise UsageError(
-            f"unknown value modes {unknown_modes!r}; choose from "
-            f"{', '.join(VALUE_MODES)}")
     if depth_axis is not None:
         no_axis = [name for name in analyses
                    if not table.get(name).takes_obj_depth]
@@ -356,13 +313,11 @@ def build_matrix(programs: Iterable[str], analyses: Iterable[str],
                     continue
                 for obj_depth in (depth_axis if depth_axis is not None
                                   else (None,)):
-                    for mode in value_modes:
-                        tasks.append(BenchTask(
-                            program=program, analysis=analysis,
-                            parameter=parameter,
-                            copies=copies if program in BY_NAME else 1,
-                            timeout=timeout, values=mode,
-                            obj_depth=obj_depth, repeat=repeat))
+                    tasks.append(BenchTask(
+                        program=program, analysis=analysis,
+                        parameter=parameter,
+                        copies=copies if program in BY_NAME else 1,
+                        timeout=timeout, obj_depth=obj_depth))
     return tasks
 
 
@@ -425,15 +380,12 @@ def _task_cache_key(task: BenchTask) -> str:
     Keyed by the exact program text (content hash), the analysis, the
     context depth and the result-relevant options; the timeout is
     excluded on purpose (a completed result does not depend on it, and
-    timed-out rows are never cached).  ``values`` *is* included so the
-    plain/interned timing rows stay distinct.
+    timed-out rows are never cached).
     """
     from repro.cache import cache_key
     return cache_key(task_source(task), task.analysis, task.parameter,
                      {"bench": True, "copies": task.copies,
-                      "values": task.values,
-                      "obj_depth": task.obj_depth,
-                      "repeat": task.repeat})
+                      "obj_depth": task.obj_depth})
 
 
 def run_batch(tasks: list[BenchTask], jobs: int | None = None,

@@ -29,7 +29,9 @@ of cached payloads changes — a new analysis semantics, a changed
 report format, different summary fields.  Old entries then miss (they
 were written under a different schema) and are simply left behind;
 ``prune`` removes them.  Corrupt or truncated files are treated as
-misses, never as errors.
+misses, never as errors, and so is a write that fails (full disk,
+vanished or read-only directory): it is counted and the answer that
+was to be stored stands.
 
 Entries live one-per-file under the cache directory (default
 ``~/.cache/repro`` honoring ``XDG_CACHE_HOME``, or ``--cache-dir``),
@@ -49,6 +51,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 import tempfile
 import threading
 from dataclasses import dataclass, field
@@ -56,8 +59,9 @@ from pathlib import Path
 from typing import Mapping
 
 #: Bump when the cached payload format or analysis semantics change.
-#: v2: ``analyze``-shaped keys grew the ``values`` (plain/interned
-#: domain) option, and payloads may carry ``wall_seconds``.
+#: A change to the key's options needs no bump: every key changes
+#: with it, so old entries simply miss.
+#: v2: payloads may carry ``wall_seconds``.
 #: v3: summaries gained ``mono_sites`` and payloads may carry a
 #: client-query ``answer`` (see :mod:`repro.analysis.clients`).
 CACHE_SCHEMA_VERSION = 3
@@ -97,11 +101,12 @@ class CacheStats:
     writes: int = 0
     rejected: int = 0  # corrupt or schema-mismatched entries
     pruned: int = 0    # entries removed by prune()
+    failed: int = 0    # writes lost to an OSError
 
     def as_dict(self) -> dict:
         return {"hits": self.hits, "misses": self.misses,
                 "writes": self.writes, "rejected": self.rejected,
-                "pruned": self.pruned}
+                "pruned": self.pruned, "failed": self.failed}
 
 
 @dataclass
@@ -161,25 +166,37 @@ class ResultCache:
             self.stats.hits += 1
         return entry["payload"]
 
-    def put(self, key: str, payload: dict) -> Path:
-        """Store *payload* under *key* (atomic rename)."""
+    def put(self, key: str, payload: dict) -> Path | None:
+        """Store *payload* under *key* (atomic rename).
+
+        A write that fails with an :class:`OSError` (full disk,
+        vanished or read-only directory) is a lost entry, not an
+        error: its temporary file is removed, ``stats.failed``
+        counts it and None is returned, so every front end keeps the
+        answer it computed.
+        """
         path = self.path_for(key)
         entry = {"schema": CACHE_SCHEMA_VERSION, "key": key,
                  "payload": payload}
-        handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", dir=self.directory,
-            prefix=".tmp-", suffix=".json", delete=False)
         try:
-            with handle:
-                json.dump(entry, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(handle.name, path)
-        except BaseException:
+            handle = tempfile.NamedTemporaryFile(
+                "w", encoding="utf-8", dir=self.directory,
+                prefix=".tmp-", suffix=".json", delete=False)
             try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+                with handle:
+                    json.dump(entry, handle, indent=2, sort_keys=True)
+                    handle.write("\n")
+                os.replace(handle.name, path)
+            except BaseException:
+                try:
+                    os.unlink(handle.name)
+                except OSError:
+                    pass
+                raise
+        except OSError:
+            with self._stats_lock:
+                self.stats.failed += 1
+            return None
         with self._stats_lock:
             self.stats.writes += 1
         return path
@@ -346,7 +363,7 @@ class ProgramCache:
 #: Bump whenever the shape of generated step-loop source changes —
 #: emitter templates, the runtime-helper contract, or the meaning of
 #: a kind string.  Stale modules then fail validation and regenerate.
-CODEGEN_SCHEMA_VERSION = 5
+CODEGEN_SCHEMA_VERSION = 6
 
 
 def default_codegen_dir() -> Path:
@@ -470,6 +487,7 @@ class CodegenCache:
             os.replace(handle.name, path)
             self.stats.writes += 1
         except OSError:
+            self.stats.failed += 1
             if handle is not None:
                 try:
                     os.unlink(handle.name)
@@ -519,8 +537,14 @@ class CodegenCache:
 def open_cache(cache_dir: str | None, enabled: bool) -> \
         "ResultCache | None":
     """CLI helper: a cache when *enabled*, at *cache_dir* or the
-    default location."""
+    default location.  A directory that cannot be made runs the
+    command uncached, with one warning line on stderr."""
     if not enabled:
         return None
-    return ResultCache(Path(cache_dir) if cache_dir
-                       else default_cache_dir())
+    directory = Path(cache_dir) if cache_dir else default_cache_dir()
+    try:
+        return ResultCache(directory)
+    except OSError as error:
+        print(f"warning: result cache off: cannot create {directory}: "
+              f"{error.strerror or error}", file=sys.stderr)
+        return None

@@ -79,13 +79,9 @@ def collect(config: FJConfig, store: FrozenStore) -> FrozenStore:
 
 def analyze_fj_kcfa_gc(program: FJProgram, k: int = 1,
                        tick_policy: str = "invocation",
-                       budget: Budget | None = None,
-                       plain: bool = False) -> FJResult:
+                       budget: Budget | None = None) -> FJResult:
     """OO k-CFA with abstract garbage collection at every transition."""
-    from repro.analysis.interning import PlainTable
-    run = run_naive(
-        FJKCFAMachine(program, k, tick_policy), _FJRecorder(),
-        EngineOptions(budget=budget, collect=collect,
-                      table_factory=PlainTable if plain else None))
+    run = run_naive(FJKCFAMachine(program, k, tick_policy), _FJRecorder(),
+                    EngineOptions(budget=budget, collect=collect))
     return fj_result_from_run(run, program, "FJ-k-CFA+GC", k,
                               tick_policy)

@@ -38,7 +38,6 @@ from repro.util.budget import Budget
 def analyze_fj_hybrid(program: FJProgram, n: int = 1,
                       obj_depth: int = 1,
                       budget: Budget | None = None,
-                      plain: bool = False,
                       tier: str = DEFAULT_TIER) -> FJResult:
     """Run the hybrid ladder: *obj_depth* receiver-chain elements
     concatenated with the last *n* call sites per context window.
@@ -58,12 +57,11 @@ def analyze_fj_hybrid(program: FJProgram, n: int = 1,
     return run_flat_policy(
         FJFlatMachine(program, FJHybrid(call_depth=n,
                                         obj_depth=obj_depth)),
-        "FJ-hybrid", n, budget, plain, tier)
+        "FJ-hybrid", n, budget, tier)
 
 
 def analyze_fj_obj(program: FJProgram, n: int = 1,
                    budget: Budget | None = None,
-                   plain: bool = False,
                    tier: str = DEFAULT_TIER) -> FJResult:
     """Run pure object sensitivity (obj^n): the context window is the
     receiver's allocation chain alone."""
@@ -71,4 +69,4 @@ def analyze_fj_obj(program: FJProgram, n: int = 1,
         raise UsageError(f"n must be non-negative, got {n}")
     return run_flat_policy(
         FJFlatMachine(program, FJHybrid(call_depth=0, obj_depth=n)),
-        "FJ-obj", n, budget, plain, tier)
+        "FJ-obj", n, budget, tier)

@@ -456,12 +456,8 @@ def fj_result_from_run(run: EngineRun, program: FJProgram,
 
 def analyze_fj_kcfa(program: FJProgram, k: int = 1,
                     tick_policy: str = "invocation",
-                    budget: Budget | None = None,
-                    plain: bool = False) -> FJResult:
+                    budget: Budget | None = None) -> FJResult:
     """Run OO k-CFA with the single-threaded store."""
-    from repro.analysis.interning import PlainTable
-    run = run_single_store(
-        FJKCFAMachine(program, k, tick_policy), _FJRecorder(),
-        EngineOptions(budget=budget,
-                      table_factory=PlainTable if plain else None))
+    run = run_single_store(FJKCFAMachine(program, k, tick_policy),
+                           _FJRecorder(), EngineOptions(budget=budget))
     return fj_result_from_run(run, program, "FJ-k-CFA", k, tick_policy)

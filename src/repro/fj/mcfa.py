@@ -34,10 +34,9 @@ from repro.util.budget import Budget
 
 def analyze_fj_mcfa(program: FJProgram, m: int = 1,
                     budget: Budget | None = None,
-                    plain: bool = False,
                     tier: str = DEFAULT_TIER) -> FJResult:
     """Run FJ m-CFA (stack-frame contexts, field copying) to fixpoint."""
     if m < 0:
         raise UsageError(f"m must be non-negative, got {m}")
     return run_flat_policy(FJFlatMachine(program, FJStack(m)),
-                           "FJ-m-CFA", m, budget, plain, tier)
+                           "FJ-m-CFA", m, budget, tier)

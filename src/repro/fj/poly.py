@@ -390,7 +390,6 @@ class FJPolyMachine(FJFlatMachine):
 
 def run_flat_policy(machine: FJFlatMachine, display: str,
                     parameter: int, budget: Budget | None = None,
-                    plain: bool = False,
                     tier: str = DEFAULT_TIER) -> FJResult:
     """Drive one flat FJ machine to fixpoint and package the result —
     the single run harness behind every flat-machine analysis
@@ -402,14 +401,11 @@ def run_flat_policy(machine: FJFlatMachine, display: str,
     ``codegen`` generated source (:mod:`repro.analysis.codegen`);
     every other policy runs generic whatever the tier.
     """
-    from repro.analysis.interning import PlainTable
     staged = codegen_stage(machine, tier == "codegen")
     machine = staged if staged is not None \
         else specialize(machine, tier != "generic")
-    run = run_single_store(
-        machine, _FJRecorder(),
-        EngineOptions(budget=budget,
-                      table_factory=PlainTable if plain else None))
+    run = run_single_store(machine, _FJRecorder(),
+                           EngineOptions(budget=budget))
     result = fj_result_from_run(run, machine.program, display,
                                 parameter, machine.policy.display)
     result.engine_path = machine_path(machine)
@@ -419,8 +415,7 @@ def run_flat_policy(machine: FJFlatMachine, display: str,
 def analyze_fj_poly(program: FJProgram, k: int = 1,
                     tick_policy: str = "invocation",
                     budget: Budget | None = None,
-                    plain: bool = False,
                     tier: str = DEFAULT_TIER) -> FJResult:
     """Run the collapsed polynomial OO k-CFA."""
     return run_flat_policy(FJPolyMachine(program, k, tick_policy),
-                           "FJ-poly-k-CFA", k, budget, plain, tier)
+                           "FJ-poly-k-CFA", k, budget, tier)

@@ -291,7 +291,8 @@ def service_stats_report(stats: dict) -> str:
             f"  cache: {cache.get('hits', 0)} hits, "
             f"{cache.get('misses', 0)} misses, "
             f"{cache.get('writes', 0)} writes, "
-            f"{cache.get('rejected', 0)} rejected")
+            f"{cache.get('rejected', 0)} rejected, "
+            f"{cache.get('failed', 0)} failed writes")
     else:
         lines.append("  cache: disabled")
     return "\n".join(lines)

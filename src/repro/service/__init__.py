@@ -21,13 +21,13 @@ in sockets and the process pool only when actually imported.
 """
 
 from repro.service.jobs import (
-    FJ_ANALYSES, JobSpec, REPORT_CHOICES, SCHEME_ANALYSES, VALUE_MODES,
-    job_cache_key, run_job,
+    FJ_ANALYSES, JobSpec, REPORT_CHOICES, SCHEME_ANALYSES, job_cache_key,
+    run_job,
 )
 from repro.service.protocol import PROTOCOL_VERSION, ProtocolError
 
 __all__ = [
     "FJ_ANALYSES", "JobSpec", "REPORT_CHOICES", "SCHEME_ANALYSES",
-    "VALUE_MODES", "job_cache_key", "run_job",
+    "job_cache_key", "run_job",
     "PROTOCOL_VERSION", "ProtocolError",
 ]

@@ -184,8 +184,7 @@ class ServiceClient:
     def submit(self, source: str | None = None,
                path: str | None = None, analysis: str = "mcfa",
                context: int = 1, simplify: bool = False,
-               report: str = "all", values: str = "interned",
-               timeout: float | None = None,
+               report: str = "all", timeout: float | None = None,
                session: bool = False,
                on_event=None,
                busy_retries: int = BUSY_RETRIES) -> dict:
@@ -203,7 +202,7 @@ class ServiceClient:
         """
         base: dict = {"op": "submit", "analysis": analysis,
                       "context": context, "simplify": simplify,
-                      "report": report, "values": values}
+                      "report": report}
         if session:
             # Only sent when set: older servers reject unknown submit
             # fields strictly, so the default case must stay
@@ -237,8 +236,7 @@ class ServiceClient:
               kind: str | None = None, target: str | None = None, *,
               source: str | None = None, path: str | None = None,
               analysis: str = "mcfa", context: int = 1,
-              simplify: bool = False, values: str = "interned",
-              timeout: float | None = None,
+              simplify: bool = False, timeout: float | None = None,
               on_event=None,
               busy_retries: int = BUSY_RETRIES) -> dict:
         """One client query; the ``done`` event carries ``answer``.
@@ -259,7 +257,6 @@ class ServiceClient:
         base["analysis"] = analysis
         base["context"] = context
         base["simplify"] = simplify
-        base["values"] = values
         if source is not None:
             base["source"] = source
         if path is not None:

@@ -17,9 +17,9 @@ reachable from ``analyze``, ``submit`` and the server with no edits
 here — there is no per-analysis dispatch table left.
 
 A request is a :class:`JobSpec` (program text, analysis, context
-depth, budget, values domain, report selection).  :func:`run_job`
-executes one spec and always returns a row dict with ``status`` in
-``ok | timeout | error`` — it never raises, which makes it safe as a
+depth, budget, report selection).  :func:`run_job` executes one spec
+and always returns a row dict with ``status`` in ``ok | timeout |
+error`` — it never raises, which makes it safe as a
 :class:`concurrent.futures.ProcessPoolExecutor` task.
 
 Cache-key audit
@@ -27,22 +27,19 @@ Cache-key audit
 
 :func:`job_cache_key` must cover **every result-affecting option** of
 a job: the exact source text, the analysis name, the context depth,
-``simplify`` (changes the analyzed term), ``report`` (changes the
-rendered text) and ``values`` (the plain and interned domains
-produce byte-identical reports *today*, but that equivalence is a
-theorem about the current code, not the key scheme's business).  The
-engine tier is not a job option at all: it follows from the call
-site (:func:`run_job`), and every tier's result is byte-identical by
-contract — the golden and differential suites gate it, so it stays
-out of the key.  A batch client query
-(``query_kind``/``query_target``) replaces the rendered report with
-the pass's JSON answer, so both fields enter the key — but only when
-set, so plain-job keys never carry them.  The
-wall-clock ``timeout``
-is deliberately excluded: a completed result does not depend on how
-long it was allowed to take, and timed-out runs are never cached.
-The cache schema version rides inside
-:func:`repro.cache.cache_key` itself.  A regression test
+``simplify`` (changes the analyzed term) and ``report`` (changes the
+rendered text).  Knobs that cannot change a result stay out: the
+engine tier follows from the call site (:func:`run_job`), and flow
+sets are always interned bitsets (:mod:`repro.analysis.interning`).
+The golden, differential and interning suites hold every tier to the
+generic loop's bytes, and interning to the tests' frozenset oracle.
+A batch client query (``query_kind``/``query_target``) replaces the
+rendered report with the pass's JSON answer, so both fields enter
+the key — but only when set, so plain-job keys never carry them.
+The wall-clock ``timeout`` is deliberately excluded: a completed
+result does not depend on how long it was allowed to take, and
+timed-out runs are never cached.  The cache schema version rides
+inside :func:`repro.cache.cache_key` itself.  A regression test
 (``tests/test_cache.py``) locks each of these facts down.
 """
 
@@ -68,18 +65,12 @@ SCHEME_ANALYSES = registry().names("scheme")
 #: The builtin Featherweight Java analyses (same snapshot caveat).
 FJ_ANALYSES = registry().names("fj")
 
-#: Value-domain representations (see :mod:`repro.analysis.interning`):
-#: ``interned`` is the bitset production path, ``plain`` the
-#: pre-interning object domain.
-VALUE_MODES = ("interned", "plain")
-
 #: Report selections understood by :func:`render_reports`.
 REPORT_CHOICES = ("flow", "inlining", "envs", "all")
 
 
 def run_scheme_analysis(program, analysis: str, parameter: int,
                         budget: Budget | None = None,
-                        plain: bool = False,
                         tier: str | None = None,
                         obj_depth: int | None = None):
     """Dispatch one Scheme analysis via the registry.
@@ -88,25 +79,22 @@ def run_scheme_analysis(program, analysis: str, parameter: int,
     default, which never generates source — see
     :data:`~repro.analysis.engine.TIERS`)."""
     return run_analysis(analysis, program, parameter, budget,
-                        plain=plain, language="scheme", tier=tier,
+                        language="scheme", tier=tier,
                         obj_depth=obj_depth)
 
 
 def run_fj_analysis(program, analysis: str, parameter: int,
                     budget: Budget | None = None,
-                    plain: bool = False,
                     tier: str | None = None,
                     obj_depth: int | None = None):
     """Dispatch one Featherweight Java analysis via the registry
     (``tier`` as in :func:`run_scheme_analysis`)."""
     return run_analysis(analysis, program, parameter, budget,
-                        plain=plain, language="fj", tier=tier,
-                        obj_depth=obj_depth)
+                        language="fj", tier=tier, obj_depth=obj_depth)
 
 
 def validate_job_options(analysis: str, context: int,
-                         simplify: bool = False, report: str = "all",
-                         values: str = "interned"):
+                         simplify: bool = False, report: str = "all"):
     """Validate the source-independent options of a job.
 
     Shared between :meth:`JobSpec.validate` and the CLI front ends,
@@ -133,10 +121,6 @@ def validate_job_options(analysis: str, context: int,
         raise UsageError(
             f"Featherweight Java analyses render a single "
             f"points-to report; --report {report!r} is Scheme-only")
-    if values not in VALUE_MODES:
-        raise UsageError(
-            f"unknown values domain {values!r}; choose from "
-            f"{', '.join(VALUE_MODES)}")
     return spec
 
 
@@ -154,7 +138,6 @@ class JobSpec:
     context: int = 1
     simplify: bool = False
     report: str = "all"
-    values: str = "interned"
     timeout: float | None = None
     #: Batch client query (see :mod:`repro.analysis.clients`): when
     #: ``query_kind`` is set the job's stdout is the pass's JSON
@@ -175,8 +158,7 @@ class JobSpec:
             raise ReproError("job source must be non-empty program "
                              "text")
         spec = validate_job_options(self.analysis, self.context,
-                                    self.simplify, self.report,
-                                    self.values)
+                                    self.simplify, self.report)
         if self.query_target is not None and self.query_kind is None:
             raise UsageError(
                 "query_target is meaningless without query_kind")
@@ -199,8 +181,7 @@ def job_cache_key(spec: JobSpec) -> str:
     from repro.cache import cache_key
     extra = {"command": "analyze",
              "simplify": spec.simplify,
-             "report": spec.report,
-             "values": spec.values}
+             "report": spec.report}
     if spec.query_kind is not None:
         # Only when set: every plain-job key predating the client
         # layer stays byte-identical.
@@ -345,21 +326,19 @@ class WorkerSessions:
         result under *session_id*."""
         from repro.analysis.incremental import AnalysisSession
         row = {"session": session_id, "analysis": spec.analysis,
-               "context": spec.context, "values": spec.values,
-               "pid": os.getpid()}
+               "context": spec.context, "pid": os.getpid()}
         started = time.perf_counter()
         try:
             language = validate_job_options(
                 spec.analysis, spec.context, spec.simplify,
-                spec.report, spec.values).language
+                spec.report).language
             budget = Budget(max_seconds=spec.timeout).start()
             program, warm = _compile_for_job(spec, language,
                                              self.programs)
             row["warm"] = warm
             _check_budget(budget, spec.timeout)
             session = AnalysisSession(
-                program, spec.analysis, spec.context,
-                plain=spec.values == "plain", budget=budget)
+                program, spec.analysis, spec.context, budget=budget)
             self._install(session_id, (session, spec.report,
                                        spec.simplify))
             self.created += 1
@@ -473,7 +452,7 @@ def run_job(spec: JobSpec, programs=None) -> dict:
     identically every time.
     """
     row = {"analysis": spec.analysis, "context": spec.context,
-           "values": spec.values, "pid": os.getpid()}
+           "pid": os.getpid()}
     started = time.perf_counter()
     try:
         # run_job is authoritative even for callers that skipped
@@ -481,8 +460,8 @@ def run_job(spec: JobSpec, programs=None) -> dict:
         # Scheme-only flags on an FJ analysis) become error rows
         # rather than being silently ignored.
         language = validate_job_options(
-            spec.analysis, spec.context, spec.simplify, spec.report,
-            spec.values).language
+            spec.analysis, spec.context, spec.simplify,
+            spec.report).language
         # The budget clock starts before the front end so compile and
         # simplify time count against the job's allowance; the check
         # is cooperative (between phases and per analysis step), so a
@@ -496,13 +475,11 @@ def run_job(spec: JobSpec, programs=None) -> dict:
         tier = "codegen" if programs is not None else None
         if language == "fj":
             result = run_fj_analysis(
-                program, spec.analysis, spec.context, budget,
-                plain=spec.values == "plain", tier=tier)
+                program, spec.analysis, spec.context, budget, tier=tier)
             row["stdout"] = render_fj_reports(program, result)
         else:
             result = run_scheme_analysis(
-                program, spec.analysis, spec.context, budget,
-                plain=spec.values == "plain", tier=tier)
+                program, spec.analysis, spec.context, budget, tier=tier)
             row["stdout"] = render_reports(program, result,
                                            spec.report)
         row["engine_path"] = result.engine_path

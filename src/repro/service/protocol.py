@@ -6,7 +6,7 @@ directions.  Requests carry an ``op``:
 ``submit``
     ``{"op": "submit", "id": "7", "source": "(f 1)" | "path": ...,
     "analysis": "kcfa", "context": 1, "simplify": false,
-    "report": "all", "values": "interned", "timeout": 30.0}``
+    "report": "all", "timeout": 30.0}``
     — exactly one of ``source`` (program text) or ``path`` (a file
     readable *by the server*).  Everything but the program is
     optional and defaults as in :class:`~repro.service.jobs.JobSpec`.
@@ -102,7 +102,7 @@ OPS = ("submit", "edit", "query", "stats", "analyses", "ping",
 #: analyzing under defaults.
 SUBMIT_FIELDS = frozenset(
     ("op", "id", "source", "path", "analysis", "context", "simplify",
-     "report", "values", "timeout", "session"))
+     "report", "timeout", "session"))
 
 #: Fields of an ``analyses`` request (same strictness as submit).
 ANALYSES_FIELDS = frozenset(("op", "id", "language"))
@@ -118,8 +118,7 @@ QUERY_SESSION_FIELDS = frozenset(
 #: Every field a ``query`` request may carry: the session form plus
 #: the job options of the sessionless batch form.
 QUERY_FIELDS = QUERY_SESSION_FIELDS | frozenset(
-    ("source", "path", "analysis", "context", "simplify", "values",
-     "timeout"))
+    ("source", "path", "analysis", "context", "simplify", "timeout"))
 
 #: Query kinds a session answers (re-exported for wire clients).
 QUERY_KINDS = SESSION_KINDS
@@ -214,7 +213,6 @@ def submit_spec(message: dict) -> JobSpec:
         context=message.get("context", 1),
         simplify=simplify,
         report=message.get("report", "all"),
-        values=message.get("values", "interned"),
         timeout=message.get("timeout"))
     try:
         return spec.validate()
@@ -346,7 +344,6 @@ def query_job_spec(message: dict) -> JobSpec:
         analysis=message.get("analysis", "mcfa"),
         context=message.get("context", 1),
         simplify=simplify,
-        values=message.get("values", "interned"),
         timeout=message.get("timeout"),
         query_kind=kind,
         query_target=target)

@@ -811,10 +811,7 @@ class AnalysisServer:
         module docstring for why that order closes the re-run race.
         """
         if self.cache is not None and row["status"] == "ok":
-            try:
-                self.cache.put(key, cache_payload(row))
-            except OSError:
-                pass  # a full disk must not take the service down
+            self.cache.put(key, cache_payload(row))
         self._settle(flight, key, row)
 
     def _finish_session_op(self, kind: str, send, job_id: str,

@@ -101,11 +101,6 @@ class TestMatrix:
         out = capsys.readouterr().out
         assert "fjrand42:fj-poly(0)" in out
 
-    def test_repeat_keeps_one_row(self):
-        row = run_task(BenchTask("eta", "zero", 0, repeat=3))
-        assert row["status"] == "ok"
-        assert row["repeat"] == 3
-
 
 class TestRunTask:
     def test_ok_row_carries_summary(self):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import re
 
 import pytest
 
@@ -143,10 +145,10 @@ class TestOpenCache:
 
     def test_stats_dict(self):
         stats = CacheStats(hits=1, misses=2, writes=3, rejected=4,
-                           pruned=5)
+                           pruned=5, failed=6)
         assert stats.as_dict() == {"hits": 1, "misses": 2,
                                    "writes": 3, "rejected": 4,
-                                   "pruned": 5}
+                                   "pruned": 5, "failed": 6}
 
 
 class TestJobKeyAudit:
@@ -160,8 +162,7 @@ class TestJobKeyAudit:
                                   ("analysis", "kcfa"),
                                   ("context", 2),
                                   ("simplify", True),
-                                  ("report", "flow"),
-                                  ("values", "plain")]:
+                                  ("report", "flow")]:
             changed = replace(base, **{field_name: other})
             assert job_cache_key(changed) != job_cache_key(base), \
                 f"{field_name} is not part of the cache key"
@@ -187,42 +188,114 @@ class TestJobKeyAudit:
         assert job_cache_key(spec) == cache_key(
             "(f 1)", "kcfa", 1,
             {"command": "analyze", "simplify": False,
-             "report": "all", "values": "interned"})
+             "report": "all"})
 
 
-class TestValuesDomainRegression:
-    """Flipping --values must never return a stale cached result."""
+def _full_disk(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class _TornFile:
+    """A cache temp file whose first write lands half its bytes and
+    then fails, as a disk filling up mid-entry would."""
+
+    def __init__(self, real):
+        self._real = real
+        self.name = real.name
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._real.close()
+        return False
+
+    def write(self, text):
+        self._real.write(text[:len(text) // 2])
+        self._real.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _inject_write_fault(fault, monkeypatch):
+    import repro.cache as cache_module
+    if fault == "replace-enospc":
+        monkeypatch.setattr(cache_module.os, "replace", _full_disk)
+    else:
+        real = cache_module.tempfile.NamedTemporaryFile
+        monkeypatch.setattr(
+            cache_module.tempfile, "NamedTemporaryFile",
+            lambda *args, **kwargs: _TornFile(real(*args, **kwargs)))
+
+
+#: One cached command per front end that writes the result cache;
+#: ``{src}`` is a Scheme file.
+FRONT_ENDS = {
+    "analyze": ["analyze", "{src}", "--analysis", "mcfa", "-n", "1"],
+    "query": ["query", "{src}", "--kind", "call-graph",
+              "--analysis", "kcfa", "-n", "1"],
+    "bench": ["bench", "--programs", "eta", "--analyses", "zero",
+              "--contexts", "0", "--serial", "--output", "-"],
+}
+
+
+def _timings_masked(text: str) -> str:
+    return re.sub(r"\d+\.\d+s\b", "<t>s", text)
+
+
+class TestWriteFaults:
+    """A result-cache fault is a miss on every front end: the command
+    prints what an uncached run prints and exits 0."""
 
     SOURCE = "(define (id x) x)\n(+ (id 3) (id 4))\n"
 
-    def run_analyze(self, tmp_path, capsys, values, cache_dir):
+    def run_main(self, tmp_path, capsys, front_end, *extra):
         from repro.__main__ import main
         src = tmp_path / "p.scm"
         src.write_text(self.SOURCE, encoding="utf-8")
-        code = main(["analyze", str(src), "--analysis", "kcfa",
-                     "-n", "1", "--values", values,
-                     "--cache-dir", str(cache_dir)])
+        argv = [arg.format(src=src) for arg in FRONT_ENDS[front_end]]
+        capsys.readouterr()
+        code = main([*argv, *extra])
         captured = capsys.readouterr()
-        return code, captured.out, captured.err
+        return code, _timings_masked(captured.out), captured.err
 
-    def test_flipping_values_is_never_a_stale_hit(self, tmp_path,
-                                                  capsys):
+    @pytest.mark.parametrize("fault", ("replace-enospc", "torn-write"))
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    def test_failed_write_is_a_miss(self, front_end, fault, tmp_path,
+                                    capsys, monkeypatch):
+        _code, uncached, _err = self.run_main(tmp_path, capsys,
+                                              front_end)
         cache_dir = tmp_path / "cache"
-        code, interned_out, err = self.run_analyze(
-            tmp_path, capsys, "interned", cache_dir)
-        assert code == 0 and "(cached result)" not in err
-        code, plain_out, err = self.run_analyze(
-            tmp_path, capsys, "plain", cache_dir)
+        _inject_write_fault(fault, monkeypatch)
+        code, out, _err = self.run_main(tmp_path, capsys, front_end,
+                                        "--cache-dir", str(cache_dir))
+        monkeypatch.undo()
         assert code == 0
-        assert "(cached result)" not in err, \
-            "plain run was served the interned run's cache entry"
-        assert len(list(cache_dir.glob("*.json"))) == 2
-        # The domains agree on the bytes (the interning theorem) —
-        # which is exactly why key separation needs its own test.
-        assert plain_out == interned_out
-        code, _out, err = self.run_analyze(
-            tmp_path, capsys, "plain", cache_dir)
-        assert code == 0 and "(cached result)" in err
+        assert out == uncached
+        assert list(cache_dir.iterdir()) == []  # no entry, no temp
+
+    def test_uncreatable_cache_dir_runs_uncached(self, tmp_path,
+                                                 capsys):
+        _code, uncached, _err = self.run_main(tmp_path, capsys,
+                                              "analyze")
+        blocker = tmp_path / "a-file"
+        blocker.write_text("", encoding="utf-8")
+        code, out, err = self.run_main(
+            tmp_path, capsys, "analyze",
+            "--cache-dir", str(blocker / "cache"))
+        assert code == 0
+        assert out == uncached
+        assert err.startswith("warning: ")
+        assert err.count("\n") == 1
+
+    def test_put_counts_the_failure(self, cache, monkeypatch):
+        monkeypatch.setattr("repro.cache.os.replace", _full_disk)
+        key = cache_key("src", "kcfa", 1)
+        assert cache.put(key, {"v": 1}) is None
+        monkeypatch.undo()
+        assert cache.stats.failed == 1
+        assert cache.stats.writes == 0
+        assert list(cache.directory.iterdir()) == []
+        assert cache.get(key) is None
 
 
 class TestInflightTable:
@@ -340,14 +413,6 @@ class TestBenchCLI:
         report = run_batch(tasks, serial=True, cache=cache)
         assert report.rows[0]["status"] == "timeout"
         assert cache.stats.writes == 0
-
-    def test_plain_and_interned_cells_have_distinct_keys(self):
-        from repro.benchsuite.runner import BenchTask, _task_cache_key
-        interned = BenchTask(program="eta", analysis="kcfa",
-                             parameter=1)
-        plain = BenchTask(program="eta", analysis="kcfa",
-                          parameter=1, values="plain")
-        assert _task_cache_key(interned) != _task_cache_key(plain)
 
     def test_worst_case_programs_resolve(self):
         from repro.benchsuite.runner import (

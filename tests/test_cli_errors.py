@@ -118,6 +118,30 @@ class TestFailFast:
         assert "unknown analysis" in _error_line(capsys)
 
 
+class TestRemovedFlags:
+    """Flags that selected the value domain or a min-of-N timing loop
+    are gone; passing one is a malformed command line (argparse's
+    exit 2), never silently ignored."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["analyze", "{file}", "--values", "plain"],
+                     id="analyze--values"),
+        pytest.param(["query", "{file}", "--kind", "mono",
+                      "--values", "plain"], id="query--values"),
+        pytest.param(["submit", "{file}", "--values", "plain",
+                      "--port", "1"], id="submit--values"),
+        pytest.param(["bench", "--programs", "eta", "--values",
+                      "plain"], id="bench--values"),
+        pytest.param(["bench", "--programs", "eta", "--repeat", "3"],
+                     id="bench--repeat"),
+    ])
+    def test_removed_flag_exits_2(self, argv, scheme_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(file=scheme_file) for arg in argv])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestFJCommand:
     def test_negative_k_exits_2(self, fj_file, capsys):
         code = main(["fj", fj_file, "-k", "-1"])

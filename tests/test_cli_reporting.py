@@ -110,12 +110,13 @@ class TestServiceReporting:
                           "rejected": 0, "executed": 5},
                  "inflight": 1,
                  "cache": {"hits": 3, "misses": 7, "writes": 5,
-                           "rejected": 0}}
+                           "rejected": 0, "failed": 2}}
         report = service_stats_report(stats)
         assert "127.0.0.1:7557" in report
         assert "10 submitted" in report
         assert "2 coalesced" in report
         assert "3 hits" in report
+        assert "2 failed writes" in report
 
     def test_service_stats_report_without_cache(self):
         report = service_stats_report({"jobs": {}, "cache": None})

@@ -5,6 +5,9 @@ analysis) is only allowed to move code, not results: the ``analyze``
 bytes for every pre-existing analysis — across both value domains,
 suite programs and random programs — are pinned here against golden
 files captured from the seed implementation *before* the refactor.
+The program runs interned bitsets only; the ``plain`` cases run the
+same ``run_job`` over the tests' frozenset oracle
+(``tests/plain_domain.py``).
 The FJ report text is pinned the same way.
 
 Regenerating (only when an output change is intended and reviewed)::
@@ -23,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from plain_domain import VALUE_MODES, value_domain
 from shared_corpus import EXPLODES, small_sources
 
 from repro.service.jobs import JobSpec, run_job
@@ -39,7 +43,6 @@ REGEN = os.environ.get("REPRO_REGEN_GOLDENS", "").lower() \
 SEED_SCHEME_ANALYSES = ("kcfa", "mcfa", "poly", "zero", "kcfa-gc",
                         "kcfa-naive")
 SEED_FJ_ANALYSES = ("fj-kcfa", "fj-poly", "fj-kcfa-gc")
-VALUE_MODES = ("interned", "plain")
 
 
 #: The corpus and naive-driver exclusions are shared with the
@@ -86,9 +89,9 @@ def _check_golden(path: Path, actual: str) -> None:
 @pytest.mark.parametrize("name,analysis,context,values", SCHEME_CASES)
 def test_scheme_report_bytes(name, analysis, context, values):
     source = _scheme_sources()[name]
-    row = run_job(JobSpec(source=source, analysis=analysis,
-                          context=context, values=values,
-                          timeout=300.0))
+    with value_domain(values):
+        row = run_job(JobSpec(source=source, analysis=analysis,
+                              context=context, timeout=300.0))
     assert row["status"] == "ok", row.get("error")
     _check_golden(
         GOLDEN_DIR / f"{name}.{analysis}.{context}.{values}.txt",

@@ -27,6 +27,7 @@ from repro.scheme.cps_transform import compile_program
 from repro.scheme.sexp import Symbol, parse_sexps, write_sexp
 from repro.service.jobs import JobSpec, WorkerSessions, run_job
 from repro.util.budget import Budget
+from plain_domain import SCHEDULING_KEYS, VALUE_MODES, value_domain
 from shared_corpus import small_sources
 
 SOURCE = "(define (id x) x)\n(+ (id 3) (id 4))\n"
@@ -123,34 +124,41 @@ def apply_edit(source: str, script) -> str:
 # -- the differential harness ------------------------------------------------
 
 def _cold_row(source: str, analysis: str, values: str) -> dict:
-    return run_job(JobSpec(source=source, analysis=analysis, context=1,
-                           values=values))
+    with value_domain(values):
+        return run_job(JobSpec(source=source, analysis=analysis,
+                               context=1))
 
 
-def _assert_same_row(session_row: dict, cold_row: dict) -> None:
+def _assert_same_row(session_row: dict, cold_row: dict,
+                     values: str) -> None:
+    """Same report bytes and summary; against the frozenset oracle
+    the pop-order counters are not comparable."""
     assert session_row["status"] == cold_row["status"] == "ok"
     assert session_row["stdout"] == cold_row["stdout"]
-    session_summary = dict(session_row["summary"])
-    cold_summary = dict(cold_row["summary"])
-    session_summary.pop("elapsed")
-    cold_summary.pop("elapsed")
+    skip = SCHEDULING_KEYS if values == "plain" else ("elapsed",)
+    session_summary = {key: value for key, value
+                       in session_row["summary"].items()
+                       if key not in skip}
+    cold_summary = {key: value for key, value
+                    in cold_row["summary"].items() if key not in skip}
     assert session_summary == cold_summary
 
 
-def _run_script(source: str, analysis: str, plain: bool) -> None:
+def _run_script(source: str, analysis: str, values: str) -> None:
     """Open a session on *source*, apply every edit script step in
-    turn, and hold each row to a one-shot job of the same text."""
-    values = "plain" if plain else "interned"
+    turn, and hold each row to a one-shot job of the same text run in
+    the *values* domain (sessions themselves always run interned)."""
     sessions = WorkerSessions(programs=ProgramCache())
     opened = sessions.create("s", JobSpec(source=source,
-                                          analysis=analysis, context=1,
-                                          values=values))
-    _assert_same_row(opened, _cold_row(source, analysis, values))
+                                          analysis=analysis, context=1))
+    _assert_same_row(opened, _cold_row(source, analysis, values),
+                     values)
     text = source
     for script in EDIT_SCRIPT:
         text = apply_edit(text, script)
         edited = sessions.edit("s", text, None)
-        _assert_same_row(edited, _cold_row(text, analysis, values))
+        _assert_same_row(edited, _cold_row(text, analysis, values),
+                         values)
         assert edited["steps"] == edited["summary"]["steps"]
 
 
@@ -197,29 +205,27 @@ class TestSessionBasics:
 
 class TestDifferential:
     """Session rows ≡ one-shot rows over ``small_sources()`` ×
-    ``SESSION_ANALYSES`` × both value domains; the three tests cover
-    that product between them."""
+    ``SESSION_ANALYSES`` × both value domains of the one-shot side;
+    the three tests cover that product between them."""
 
     @pytest.mark.parametrize("analysis", SESSION_ANALYSES)
-    @pytest.mark.parametrize("plain", [False, True],
-                             ids=["interned", "plain"])
-    def test_full_matrix_on_eta(self, analysis, plain):
-        _run_script(small_sources()["eta"], analysis, plain)
+    @pytest.mark.parametrize("values", VALUE_MODES)
+    def test_full_matrix_on_eta(self, analysis, values):
+        _run_script(small_sources()["eta"], analysis, values)
 
     @pytest.mark.parametrize("name", sorted(small_sources()))
     def test_corpus_under_kcfa(self, name):
-        _run_script(small_sources()[name], "kcfa", False)
+        _run_script(small_sources()[name], "kcfa", "interned")
 
-    @pytest.mark.parametrize("name,plain,analysis", [
-        pytest.param(name, plain, analysis,
-                     id=f"{name}-{'plain' if plain else 'interned'}"
-                        f"-{analysis}")
+    @pytest.mark.parametrize("name,values,analysis", [
+        pytest.param(name, values, analysis,
+                     id=f"{name}-{values}-{analysis}")
         for name in sorted(set(small_sources()) - {"eta"})
-        for plain in (False, True)
+        for values in VALUE_MODES
         for analysis in SESSION_ANALYSES
-        if plain or analysis != "kcfa"])
-    def test_rest_of_the_corpus(self, name, plain, analysis):
-        _run_script(small_sources()[name], analysis, plain)
+        if values == "plain" or analysis != "kcfa"])
+    def test_rest_of_the_corpus(self, name, values, analysis):
+        _run_script(small_sources()[name], analysis, values)
 
 
 def wide_source(arms: int = 12, target: int = 3) -> str:

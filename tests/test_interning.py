@@ -3,36 +3,31 @@
 The tentpole property: running any analysis with the interned
 :class:`~repro.analysis.interning.ValueTable` produces an
 :class:`~repro.analysis.results.AnalysisResult` *identical* to the
-pre-interning object domain (:class:`~repro.analysis.interning.
-PlainTable`) — same decoded stores, same call graphs, same
-environments, same step counts.  Checked across the §6 suite, the
-Van Horn–Mairson worst-case ladder, random programs and the FJ
-examples, plus unit tests of the table protocol itself.
+pre-interning object domain (the tests' :class:`~plain_domain.
+PlainTable` oracle, swapped in by :func:`~plain_domain.plain_values`)
+— same decoded stores, same call graphs, same environments.  Checked
+across the §6 suite, the Van Horn–Mairson worst-case ladder, random
+programs and the FJ examples, plus unit tests of the table protocol
+itself.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from plain_domain import SCHEDULING_KEYS, PlainTable, plain_values
+
 from repro.analysis import (
     analyze_kcfa, analyze_kcfa_gc, analyze_kcfa_naive, analyze_mcfa,
     analyze_poly_kcfa, analyze_zerocfa,
 )
 from repro.analysis.domains import (
-    AConst, APair, BASIC, EMPTY_BENV, KClo,
+    AConst, APair, AbsStore, BASIC, EMPTY_BENV, KClo,
 )
-from repro.analysis.interning import PlainTable, ValueTable
+from repro.analysis.interning import ValueTable
 from repro.benchsuite.programs import BY_NAME
 from repro.generators.random_programs import random_program
 from repro.generators.worstcase import worst_case_program
-
-
-#: Engine-scheduling artifacts: the step counter depends on the order
-#: successors are enqueued, and a frozenset iterates in hash order
-#: while a bitset iterates in interning order, so re-enqueue
-#: interleavings (and hence pop counts) legitimately differ between
-#: representations.  Everything *semantic* must be identical.
-SCHEDULING_KEYS = ("elapsed", "steps")
 
 
 def assert_same_analysis(interned, plain):
@@ -54,11 +49,20 @@ def assert_same_analysis(interned, plain):
     assert summary_a == summary_b
 
 
+def both_domains(run, program):
+    """*run* over *program* interned, then over the frozenset
+    oracle."""
+    interned = run(program)
+    with plain_values():
+        plain = run(program)
+    return interned, plain
+
+
 SCHEME_ANALYZERS = {
-    "kcfa1": lambda p, plain: analyze_kcfa(p, 1, plain=plain),
-    "mcfa1": lambda p, plain: analyze_mcfa(p, 1, plain=plain),
-    "poly1": lambda p, plain: analyze_poly_kcfa(p, 1, plain=plain),
-    "zero": lambda p, plain: analyze_zerocfa(p, plain=plain),
+    "kcfa1": lambda p: analyze_kcfa(p, 1),
+    "mcfa1": lambda p: analyze_mcfa(p, 1),
+    "poly1": lambda p: analyze_poly_kcfa(p, 1),
+    "zero": lambda p: analyze_zerocfa(p),
 }
 
 
@@ -67,41 +71,39 @@ class TestSuiteEquivalence:
     @pytest.mark.parametrize("analyzer", sorted(SCHEME_ANALYZERS))
     def test_suite_program(self, bench_name, analyzer):
         program = BY_NAME[bench_name].compile()
-        run = SCHEME_ANALYZERS[analyzer]
-        assert_same_analysis(run(program, False), run(program, True))
+        assert_same_analysis(
+            *both_domains(SCHEME_ANALYZERS[analyzer], program))
 
 
 class TestWorstCaseEquivalence:
     @pytest.mark.parametrize("depth", [2, 4, 6, 8])
     def test_kcfa_ladder(self, depth):
         program = worst_case_program(depth)
-        assert_same_analysis(analyze_kcfa(program, 1),
-                             analyze_kcfa(program, 1, plain=True))
+        assert_same_analysis(
+            *both_domains(SCHEME_ANALYZERS["kcfa1"], program))
 
     @pytest.mark.parametrize("depth", [2, 4, 6, 8])
     def test_mcfa_ladder(self, depth):
         program = worst_case_program(depth)
-        assert_same_analysis(analyze_mcfa(program, 1),
-                             analyze_mcfa(program, 1, plain=True))
+        assert_same_analysis(
+            *both_domains(SCHEME_ANALYZERS["mcfa1"], program))
 
 
 class TestRandomProgramEquivalence:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_kcfa(self, seed):
         program = random_program(seed, 4)
-        assert_same_analysis(analyze_kcfa(program, 1),
-                             analyze_kcfa(program, 1, plain=True))
+        assert_same_analysis(
+            *both_domains(SCHEME_ANALYZERS["kcfa1"], program))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_naive_and_gc(self, seed):
         """The naive per-state-store drivers agree too."""
         program = random_program(seed, 3)
-        assert_same_analysis(
-            analyze_kcfa_naive(program, 0),
-            analyze_kcfa_naive(program, 0, plain=True))
-        assert_same_analysis(
-            analyze_kcfa_gc(program, 0),
-            analyze_kcfa_gc(program, 0, plain=True))
+        assert_same_analysis(*both_domains(
+            lambda p: analyze_kcfa_naive(p, 0), program))
+        assert_same_analysis(*both_domains(
+            lambda p: analyze_kcfa_gc(p, 0), program))
 
 
 class TestFJEquivalence:
@@ -112,8 +114,8 @@ class TestFJEquivalence:
         from repro.fj.poly import analyze_fj_poly
         program = parse_fj(ALL_EXAMPLES[example])
         for analyze in (analyze_fj_kcfa, analyze_fj_poly):
-            interned = analyze(program, 1)
-            plain = analyze(program, 1, plain=True)
+            interned, plain = both_domains(
+                lambda p: analyze(p, 1), program)
             assert interned.store.as_dict() == plain.store.as_dict()
             assert interned.invoke_targets == plain.invoke_targets
             assert interned.method_contexts == plain.method_contexts
@@ -202,9 +204,18 @@ class TestPlainTable:
         assert table.any_truthy(mask)
         assert table.any_falsy(mask)
 
-    def test_interned_flag(self):
-        assert ValueTable.interned is True
-        assert PlainTable.interned is False
+    def test_oracle_swaps_the_store_table(self, small_programs):
+        """The equivalence checks above are only as good as the swap:
+        inside ``plain_values`` every run's store holds frozensets,
+        and outside it ints again."""
+        program = small_programs["adders"][1]
+        interned, plain = both_domains(SCHEME_ANALYZERS["kcfa1"],
+                                       program)
+        assert isinstance(plain.store.table, PlainTable)
+        assert isinstance(interned.store.table, ValueTable)
+        assert all(isinstance(mask, frozenset)
+                   for _addr, mask in plain.store.mask_items())
+        assert isinstance(AbsStore().table, ValueTable)
 
 
 class TestStoreMaskAPI:

@@ -257,9 +257,11 @@ class TestMachinery:
 
     @pytest.mark.parametrize("name", ("eta", "map"))
     def test_plain_and_interned_agree(self, name):
+        from plain_domain import plain_values
         program = _suite_program(name)
         interned = run_analysis("pushdown", program, 1)
-        plain = run_analysis("pushdown", program, 1, plain=True)
+        with plain_values():
+            plain = run_analysis("pushdown", program, 1)
         assert render_reports(program, interned) == \
             render_reports(program, plain)
         assert interned.config_count == plain.config_count

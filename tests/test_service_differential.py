@@ -3,25 +3,27 @@
 For random programs plus the bench suite, the server's rendered
 report — produced in a worker process, streamed back over the NDJSON
 protocol — must equal the output of in-process
-``python -m repro analyze`` *exactly*, for every Scheme analysis ×
-values-domain combination, across context depths, report selections
-and the simplify flag.  Any drift between the serving path and the
-one-shot path is a correctness bug, not a formatting nit: the cache
-stores these bytes and replays them to future clients.
+``python -m repro analyze`` *exactly*, for every Scheme analysis,
+across context depths, report selections and the simplify flag —
+and, in the ``plain`` cells, ``analyze`` run over the tests'
+frozenset oracle (``tests/plain_domain.py``).  Any drift between the
+serving path and the one-shot path is a correctness bug, not a
+formatting nit: the cache stores these bytes and replays them to
+future clients.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from plain_domain import VALUE_MODES, value_domain
 from shared_corpus import EXPLODES, random_source as _random_source, \
     small_sources
 
 from repro.__main__ import main
 from repro.benchsuite.programs import BY_NAME
 from repro.service.client import ServiceClient
-from repro.service.jobs import FJ_ANALYSES, SCHEME_ANALYSES, \
-    VALUE_MODES
+from repro.service.jobs import FJ_ANALYSES, SCHEME_ANALYSES
 from repro.service.server import AnalysisServer
 
 #: Small programs crossed with the *full* analysis × domain matrix —
@@ -58,11 +60,12 @@ class TestFullMatrix:
         if (name, analysis) in EXPLODES:
             pytest.skip("naive driver explodes here by design")
         source = SMALL[name]
-        expected = analyze_output(
-            tmp_path, capsys, source, "--analysis", analysis,
-            "-n", "1", "--values", values, "--timeout", "120")
+        with value_domain(values):
+            expected = analyze_output(
+                tmp_path, capsys, source, "--analysis", analysis,
+                "-n", "1", "--timeout", "120")
         final = client.submit(source=source, analysis=analysis,
-                              context=1, values=values, timeout=120.0)
+                              context=1, timeout=120.0)
         assert final["status"] == "ok", final.get("error")
         assert final["stdout"] == expected
 

@@ -118,7 +118,6 @@ class TestSubmitSpec:
         ("context", True, "non-negative"),
         ("context", "two", "non-negative"),
         ("report", "everything", "unknown report"),
-        ("values", "boxed", "unknown values domain"),
         ("timeout", 0, "positive"),
         ("timeout", -3.5, "positive"),
         ("timeout", "fast", "positive"),
@@ -338,16 +337,19 @@ class TestAnalysesOp:
 
 class TestTierIsNotOnTheWire:
     """The engine tier follows from where a job runs, not from the
-    request: the old ``specialize``/``codegen`` fields are unknown
-    fields now, and fail loudly like any typo."""
+    request, and flow sets are always interned: the old
+    ``specialize``/``codegen``/``values`` fields are unknown fields
+    now, and fail loudly like any typo."""
 
-    @pytest.mark.parametrize("field", ("specialize", "codegen"))
+    @pytest.mark.parametrize("field", ("specialize", "codegen",
+                                       "values"))
     def test_tier_fields_are_unknown_submit_fields(self, field):
         with pytest.raises(ProtocolError, match=f"unknown.*{field}"):
             submit_spec({"op": "submit", "source": SOURCE,
                          field: False})
 
-    @pytest.mark.parametrize("field", ("specialize", "codegen"))
+    @pytest.mark.parametrize("field", ("specialize", "codegen",
+                                       "values"))
     def test_tier_fields_are_unknown_query_fields(self, field):
         from repro.service.protocol import query_job_spec
         with pytest.raises(ProtocolError, match=f"unknown.*{field}"):

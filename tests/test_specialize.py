@@ -4,7 +4,9 @@ Every engine tier (:data:`repro.analysis.engine.TIERS`: generic,
 specialized, codegen) promises more than equal fixpoints — it
 promises the *same trajectory*: identical rendered reports, identical
 step counts and identical reachable-configuration sets, across every
-registered analysis and both value domains.  The tier is picked by
+registered analysis and both value domains: the program's interned
+bitsets and the tests' frozenset oracle (``tests/plain_domain.py``).
+The tier is picked by
 the call site (one-shot runs take ``specialized``, warm fleet workers
 ``codegen``), so the suite selects it through the run functions'
 ``tier`` keyword.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import pytest
 
+from plain_domain import VALUE_MODES, value_domain
 from shared_corpus import EXPLODES, small_sources
 
 from repro.analysis.registry import registry
@@ -30,7 +33,6 @@ from repro.service.jobs import render_fj_reports, render_reports
 
 SCHEME_SPECS = registry().specs("scheme")
 FJ_SPECS = registry().specs("fj")
-VALUE_MODES = ("interned", "plain")
 
 #: Engine paths per analysis and context depth, as
 #: ``(default tier, codegen tier)`` — pinned so a refactor cannot
@@ -75,11 +77,11 @@ def test_uncovered_specs_register_the_knob_off():
     assert covered == {"kcfa", "fj-poly"}
 
 
-def run_both(spec, program, parameter, plain=False, obj_depth=None):
-    generic = spec.run(program, parameter, plain=plain,
-                       tier="generic", obj_depth=obj_depth)
-    special = spec.run(program, parameter, plain=plain,
-                       tier="specialized", obj_depth=obj_depth)
+def run_both(spec, program, parameter, obj_depth=None):
+    generic = spec.run(program, parameter, tier="generic",
+                       obj_depth=obj_depth)
+    special = spec.run(program, parameter, tier="specialized",
+                       obj_depth=obj_depth)
     return generic, special
 
 
@@ -113,8 +115,8 @@ SCHEME_CASES = [
 def test_scheme_specialized_byte_identical(name, spec, context,
                                            values):
     program = compile_program(small_sources()[name])
-    generic, special = run_both(spec, program, context,
-                                plain=values == "plain")
+    with value_domain(values):
+        generic, special = run_both(spec, program, context)
     assert_identical(
         generic, special,
         lambda result: render_reports(program, result),
@@ -141,8 +143,8 @@ def test_fj_specialized_byte_identical(name, spec, context, values):
     from repro.fj import parse_fj
     from repro.fj.examples import ALL_EXAMPLES
     program = parse_fj(ALL_EXAMPLES[name])
-    generic, special = run_both(spec, program, context,
-                                plain=values == "plain")
+    with value_domain(values):
+        generic, special = run_both(spec, program, context)
     assert_identical(
         generic, special,
         lambda result: render_fj_reports(program, result),
@@ -285,14 +287,29 @@ def test_diverging_specialization_fails(monkeypatch):
 CODEGEN_SCHEME_SPECS = [spec for spec in SCHEME_SPECS if spec.codegen]
 
 
-def run_codegen_both(spec, program, parameter, plain=False):
-    """One analysis twice: the specialized tier vs. generated
-    source."""
-    compiled = spec.run(program, parameter, plain=plain,
-                        tier="specialized")
-    generated = spec.run(program, parameter, plain=plain,
-                         tier="codegen")
+def run_codegen_both(spec, program, parameter, values="interned"):
+    """One analysis twice: the specialized tier, in the *values*
+    domain, vs. generated source.  Generated steps work on the bits
+    themselves, so they always run interned: a ``plain`` pair holds
+    them to the frozenset oracle directly."""
+    with value_domain(values):
+        compiled = spec.run(program, parameter, tier="specialized")
+    generated = spec.run(program, parameter, tier="codegen")
     return compiled, generated
+
+
+def assert_codegen_identical(compiled, generated, render, values,
+                             context):
+    """:func:`assert_identical`, but across domains the trajectory is
+    not comparable (see ``plain_domain.SCHEDULING_KEYS``): a
+    ``plain`` pair must match on everything else."""
+    if values == "interned":
+        assert_identical(compiled, generated, render, context)
+        return
+    assert render(compiled) == render(generated), \
+        f"report bytes diverged {context}"
+    assert compiled.configs == generated.configs, \
+        f"reachable configurations diverged {context}"
 
 
 CODEGEN_SCHEME_CASES = [
@@ -310,11 +327,11 @@ CODEGEN_SCHEME_CASES = [
     ids=lambda value: getattr(value, "name", value))
 def test_scheme_codegen_byte_identical(name, spec, context, values):
     program = compile_program(small_sources()[name])
-    compiled, generated = run_codegen_both(
-        spec, program, context, plain=values == "plain")
-    assert_identical(
+    compiled, generated = run_codegen_both(spec, program, context,
+                                           values)
+    assert_codegen_identical(
         compiled, generated,
-        lambda result: render_reports(program, result),
+        lambda result: render_reports(program, result), values,
         context=f"({name}, {spec.name}, n={context}, {values})")
     assert generated.engine_path.startswith("codegen:")
     assert compiled.engine_path == "generic"
@@ -333,11 +350,10 @@ def test_fj_codegen_byte_identical(name, values):
     from repro.fj.examples import ALL_EXAMPLES
     spec = registry().get("fj-poly")
     program = parse_fj(ALL_EXAMPLES[name])
-    compiled, generated = run_codegen_both(
-        spec, program, 0, plain=values == "plain")
-    assert_identical(
+    compiled, generated = run_codegen_both(spec, program, 0, values)
+    assert_codegen_identical(
         compiled, generated,
-        lambda result: render_fj_reports(program, result),
+        lambda result: render_fj_reports(program, result), values,
         context=f"({name}, fj-poly, n=0, {values})")
     assert generated.engine_path == "codegen:zero-fj-flat"
 
@@ -509,6 +525,7 @@ def test_failed_module_write_is_not_a_failed_run(tmp_path,
         monkeypatch.undo()
         assert result.engine_path == "codegen:zero-flat"
         assert cache.stats.writes == 0
+        assert cache.stats.failed == 1
         assert not list(cache.directory.iterdir())
         reference = spec.run(program, 0, tier="generic")
         assert render_reports(program, result) \
