@@ -128,18 +128,18 @@ def maybe_falsy(value: "AbsVal") -> bool:
 class BEnv:
     """An immutable abstract binding environment: variable → time.
 
-    Hash/equality are over the sorted item tuple; lookups go through a
-    dict built once at construction (environments are read far more
-    often than they are created).
+    One dict, built in sorted order, serves lookups, iteration and
+    equality; the hash is the sorted item tuple's, computed once at
+    construction (environments are read far more often than they are
+    created, and set iteration orders follow that hash).
     """
 
-    __slots__ = ("_items", "_dict", "_hash")
+    __slots__ = ("_dict", "_hash")
 
     def __init__(self, items: Iterable[tuple[str, Time]] = ()):
-        pairs = tuple(sorted(items))
-        self._items = pairs
+        pairs = sorted(items)
         self._dict = dict(pairs)
-        self._hash = hash(pairs)
+        self._hash = hash(tuple(pairs))
 
     def __getitem__(self, name: str) -> Time:
         return self._dict[name]
@@ -154,7 +154,7 @@ class BEnv:
         return iter(self._dict)
 
     def items(self) -> tuple[tuple[str, Time], ...]:
-        return self._items
+        return tuple(self._dict.items())
 
     def extend(self, names: Iterable[str], time: Time) -> "BEnv":
         """Bind every name in *names* at *time*."""
@@ -166,20 +166,21 @@ class BEnv:
     def restrict(self, names: frozenset[str]) -> "BEnv":
         """Keep only *names* (free-variable restriction at closure
         creation)."""
-        return BEnv((name, time) for name, time in self._items
+        return BEnv((name, time) for name, time in self._dict.items()
                     if name in names)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BEnv) and self._items == other._items
+        return isinstance(other, BEnv) and self._dict == other._dict
 
     def __hash__(self) -> int:
         return self._hash
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._dict)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{name}→{time}" for name, time in self._items)
+        inner = ", ".join(f"{name}→{time}"
+                          for name, time in self._dict.items())
         return "{" + inner + "}"
 
 
@@ -266,7 +267,9 @@ class AbsStore:
     """The single-threaded monotone store (§3.7).
 
     ``join`` returns True when the store actually grew at the address,
-    which the engines use to re-enqueue reader configurations.
+    which the engines use to re-enqueue reader configurations.  A
+    join, once made, holds for the rest of the run: that is what lets
+    the kernel's semi-naive re-steps skip joins they made before.
 
     Flow sets are stored as *masks* of a per-store value table
     (:mod:`repro.analysis.interning`): each distinct abstract value is
@@ -277,17 +280,9 @@ class AbsStore:
     :meth:`get`/:meth:`items` decode back to frozensets of values so
     every external consumer — results, reports, soundness checks —
     sees exactly the pre-interning representation.
-
-    The store keeps *per-address version counters* for the shared
-    delta-propagating engine: every growing join bumps the address's
-    version and the store-wide :attr:`clock`, so a driver can compare a
-    configuration's read-set snapshot against the current versions and
-    tell exactly which addresses changed — without rescanning value
-    sets.
     """
 
-    __slots__ = ("table", "_empty", "_map", "_versions", "join_count",
-                 "clock")
+    __slots__ = ("table", "_empty", "_map")
 
     def __init__(self):
         # Resolved per store, never bound at import: the tests'
@@ -298,10 +293,6 @@ class AbsStore:
         self.table = table = ValueTable()
         self._empty = table.empty
         self._map: dict[Addr, object] = {}  # addr -> mask
-        self._versions: dict[Addr, int] = {}
-        self.join_count = 0
-        #: Total number of growing joins — a store-wide logical clock.
-        self.clock = 0
 
     def get(self, addr: Addr) -> frozenset:
         """The decoded flow set at *addr* (empty set if unbound)."""
@@ -311,10 +302,6 @@ class AbsStore:
         """The raw mask at *addr* — the machines' read primitive."""
         return self._map.get(addr, self._empty)
 
-    def version(self, addr: Addr) -> int:
-        """How many times the store has grown at *addr* (0 = never)."""
-        return self._versions.get(addr, 0)
-
     def join(self, addr: Addr, values: Iterable[AbsVal]) -> bool:
         """Join a collection of abstract values (interning them)."""
         return self.join_mask(addr, self.table.encode(values))
@@ -323,22 +310,15 @@ class AbsStore:
         """Join a pre-encoded mask; True when the store grew."""
         if not mask:
             return False
-        self.join_count += 1
         current = self._map.get(addr)
         if current is None:
             self._map[addr] = mask
-            self._grew(addr)
             return True
         merged = current | mask
         if merged == current:
             return False
         self._map[addr] = merged
-        self._grew(addr)
         return True
-
-    def _grew(self, addr: Addr) -> None:
-        self._versions[addr] = self._versions.get(addr, 0) + 1
-        self.clock += 1
 
     def addresses(self) -> Iterable[Addr]:
         return self._map.keys()

@@ -11,13 +11,13 @@ loops; the machines themselves later collapsed the same way into the
 policy-parameterized :mod:`repro.analysis.kernel`.  There is exactly
 one of each driver:
 
-* :func:`run_single_store` — the delta-propagating §3.7 driver.  One
-  global monotone :class:`~repro.analysis.domains.AbsStore` with
-  per-address version counters; a
+* :func:`run_single_store` — the §3.7 driver.  One global monotone
+  :class:`~repro.analysis.domains.AbsStore` and a
   :class:`~repro.util.fixpoint.DependencyWorklist` that re-enqueues a
-  configuration only when an address it *read* grows, handing back the
-  exact set of changed addresses (the delta) rather than forcing a
-  full re-scan.
+  configuration only when an address it *read* grows.  The re-step is
+  semi-naive for shared and summary environments: the kernel enters
+  only the operators new since the configuration's last step
+  (:meth:`~repro.analysis.kernel.Kernel._to_enter`).
 
 * :func:`run_naive` — the §3.6 driver.  Every abstract state carries
   its own immutable :class:`~repro.analysis.domains.FrozenStore`; an
@@ -27,16 +27,15 @@ one of each driver:
 A *machine* is anything satisfying the :class:`Machine` protocol: it
 boots an initial configuration against a store and exposes one
 ``step`` transfer function returning ``(successor, joins)`` pairs.
-Engine-level improvements — worklist order, budgets, delta statistics,
-future parallel or incremental drivers — land here once and every
-analysis benefits at once.
+Engine-level improvements — worklist order, budgets, future parallel
+drivers — land here once and every analysis benefits at once.
 
 The pushdown-summary rep (:class:`~repro.analysis.kernel.SummaryEnv`)
 needs **no extra propagation pass** on top of :func:`run_single_store`:
 an exit summary is just a join into the caller's continuation-parameter
-address, so when an entry's return value grows, the delta worklist
+address, so when an entry's return value grows, the worklist
 re-enqueues exactly the configurations that read it — summary
-propagation *is* delta propagation.
+propagation *is* dependency propagation.
 """
 
 from __future__ import annotations
@@ -195,7 +194,6 @@ class EngineRun(Generic[C]):
     elapsed: float                   # driver wall-clock seconds
     state_count: int = 0             # naive driver only: |states|
     requeues: int = 0                # dirty-triggered re-enqueues
-    delta_addresses: int = 0         # Σ |delta| over re-visited configs
     recorder: object = None
     states: frozenset = field(default_factory=frozenset)
 
@@ -204,15 +202,14 @@ def run_single_store(machine: Machine, recorder,
                      options: EngineOptions | None = None) -> EngineRun:
     """Drive *machine* to fixpoint over one global store (§3.7).
 
-    The delta-propagating loop:
-
-    1. pop a configuration together with the exact set of addresses
-       whose growth re-enqueued it (``None`` on a first visit) — no
-       re-scan of the queue or the store is ever needed to work out
-       *why* a configuration is being re-visited;
-    2. apply the transfer function, record its read set, join its
-       store writes (each growing join bumps the address's version
-       counter), and dirty exactly the addresses that grew.
+    The loop pops a configuration in FIFO order, applies the transfer
+    function, records its read set, joins its store writes, and
+    re-enqueues every reader of an address that grew.  A re-visited
+    configuration is stepped against the same store it joined into
+    before, which is what lets the kernel skip the operators it
+    entered last time with the same inputs (semi-naive re-steps);
+    the successors and joins it skips are already in ``seen`` and in
+    the store, so the trajectory is the full re-step's.
 
     Raises :class:`~repro.errors.AnalysisTimeout` when the budget is
     exceeded, like every analyzer built on it.
@@ -237,7 +234,6 @@ def run_single_store(machine: Machine, recorder,
     pending = worklist._pending
     seen = worklist._seen
     readers = worklist._readers
-    delta_map = worklist._delta
     # The budget check is likewise inlined (one method call per step
     # otherwise); ``charge`` stays the reference semantics, and the
     # unlimited case pays a single truth test per step.
@@ -246,16 +242,12 @@ def run_single_store(machine: Machine, recorder,
         or budget.max_seconds is not None
     requeued = 0
     steps = 0
-    delta_addresses = 0
     started = _time.perf_counter()
     while queue:
         if limited:
             charge()
         config = queue.popleft()
         pending.discard(config)
-        delta = delta_map.pop(config, None)
-        if delta is not None:
-            delta_addresses += len(delta)
         steps += 1
         reads: set = set()
         succs = machine_step(config, store, reads, recorder)
@@ -282,17 +274,12 @@ def run_single_store(machine: Machine, recorder,
                     pending.add(reader)
                     queue.append(reader)
                     requeued += 1
-                reader_delta = delta_map.get(reader)
-                if reader_delta is None:
-                    delta_map[reader] = {addr}
-                else:
-                    reader_delta.add(addr)
     worklist.requeue_count = requeued
     elapsed = _time.perf_counter() - started
     return EngineRun(
         store=store, configs=worklist.seen, steps=steps,
         elapsed=elapsed, requeues=worklist.requeue_count,
-        delta_addresses=delta_addresses, recorder=recorder)
+        recorder=recorder)
 
 
 @dataclass(frozen=True, slots=True)

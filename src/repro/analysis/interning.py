@@ -104,6 +104,11 @@ class ValueTable:
             yield values[low.bit_length() - 1]
             mask ^= low
 
+    def decode_new(self, mask: int, old: int) -> Iterator:
+        """Iterate the values of *mask* not in *old*, in interning
+        order (a semi-naive re-step's new operators)."""
+        return self.decode_iter(mask & ~old)
+
     def mask_len(self, mask: int) -> int:
         return mask.bit_count()
 

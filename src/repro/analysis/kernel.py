@@ -330,14 +330,14 @@ class SummaryEnv:
     :attr:`call_edges` / :attr:`summaries` as the analysis runs; the
     engine needs no extra propagation pass for them because return
     values travel through ordinary store joins at the caller's frame,
-    which the delta worklist already re-propagates.
+    which the dependency worklist already re-propagates.
     """
 
     kind = "summary"
     clo_type = (SClo, SCont)
 
     __slots__ = ("layout", "table", "_clo_bits", "_entry_memo",
-                 "call_edges", "summaries")
+                 "_tokens", "call_edges", "summaries")
 
     def __init__(self, program: Program):
         self.layout = summary_layout(program)
@@ -347,6 +347,8 @@ class SummaryEnv:
         self._clo_bits: dict[object, object] = {}
         #: (lam label, raw argument-mask tuple) → interned entry env.
         self._entry_memo: dict[tuple, tuple] = {}
+        #: abstract value → its entry token, one string per value.
+        self._tokens: dict[object, str] = {}
         #: entry env → {(call label, caller env)} — the call-edge table.
         self.call_edges: dict[tuple, set] = {}
         #: exited frame env → joined exit-value mask (entry/exit
@@ -395,13 +397,19 @@ class SummaryEnv:
         if env is None:
             decode = self.table.decode_iter
             signature = tuple(
-                tuple(sorted(_entry_token(value)
+                tuple(sorted(self._token(value)
                              for value in decode(mask)
                              if not isinstance(value, SCont)))
                 for mask in arg_masks)
             env = (lam.label, call_label, signature)
             self._entry_memo[key] = env
         return env
+
+    def _token(self, value) -> str:
+        token = self._tokens.get(value)
+        if token is None:
+            token = self._tokens[value] = _entry_token(value)
+        return token
 
     def _bind(self, names, masks, env) -> list:
         joins = [((name, env), mask)
@@ -487,6 +495,11 @@ class Kernel:
         self.table = table
         self._basic = table.bit_for(BASIC)
         self._lit_bits: dict[int, object] = {}
+        #: app/prim configuration → (operator mask, inputs) at its last
+        #: step: the semi-naive memo of :meth:`_to_enter`, kept only
+        #: for the one store the run joins into, and not for flat reps.
+        self._last_step: dict = {}
+        self._memo_store = store if self.rep.kind != "flat" else None
         self.rep.boot(table)
         return self.rep.initial_config(self.program)
 
@@ -536,6 +549,26 @@ class Kernel:
 
     # -- apply ---------------------------------------------------------
 
+    def _to_enter(self, config, operators, inputs, store):
+        """The operators of *operators* this step must enter.
+
+        Semi-naive re-steps: when *config* is stepped again with the
+        same *inputs*, entering an operator it entered last time would
+        rebuild a successor already seen and joins already in the
+        store, so only the operators new since then are entered, in
+        interning order.  That holds only against the monotone store
+        those joins went into (the naive driver steps against
+        per-state stores) and only where ``enter`` reads nothing from
+        the store (a flat rep copies free variables from it).
+        """
+        if store is self._memo_store:
+            memo = self._last_step
+            last = memo.get(config)
+            memo[config] = (operators, inputs)
+            if last is not None and last[1] == inputs:
+                return self.table.decode_new(operators, last[0])
+        return self.table.decode_iter(operators)
+
     def _app(self, call: AppCall, config, store, reads: set[Addr],
              recorder: Recorder) -> list:
         rep = self.rep
@@ -547,7 +580,8 @@ class Kernel:
         ctx = rep.call_ctx(config, call.label)
         clo_type = rep.clo_type
         succs = []
-        for operator in self.table.decode_iter(operators):
+        for operator in self._to_enter(config, operators, arg_masks,
+                                       store):
             if not isinstance(operator, clo_type):
                 continue
             lam = operator.lam
@@ -599,7 +633,8 @@ class Kernel:
         succs = []
         conts = self.evaluate(call.cont, config, store, reads)
         clo_type = rep.clo_type
-        for operator in self.table.decode_iter(conts):
+        for operator in self._to_enter(config, conts,
+                                       (arg_masks, result), store):
             if not isinstance(operator, clo_type):
                 continue
             if len(operator.lam.params) != 1:
@@ -610,6 +645,8 @@ class Kernel:
             succs.append((succ, tuple(joins) + tuple(extra_joins)))
         if not succs and extra_joins:
             # Keep the pair fields even if no continuation flowed yet.
+            # (A re-step that skipped every old continuation lands here
+            # too: harmless, as the successor is *config* itself.)
             succs.append((rep.with_call(config, call),
                           tuple(extra_joins)))
         return succs

@@ -164,9 +164,9 @@ class CompiledSharedKernel(Kernel):
         arg_evs = tuple(self._atom(arg) for arg in call.args)
         nargs = len(arg_evs)
         basic = self._basic
-        decode_iter = self.table.decode_iter
         tick = self.rep.tick
         extend_memo = self.rep._extend_memo
+        to_enter = self._to_enter
         arity: dict = {}
 
         def step(config, store, reads, recorder):
@@ -177,7 +177,8 @@ class CompiledSharedKernel(Kernel):
             ctx = tick(label, config.time)
             succs = []
             lam_of = arity.get
-            for operator in decode_iter(operators):
+            for operator in to_enter(config, operators, arg_masks,
+                                     store):
                 key = id(operator)
                 lam = lam_of(key, _MISSING)
                 if lam is _MISSING:
@@ -239,6 +240,7 @@ class CompiledSharedKernel(Kernel):
         extend_memo = self.rep._extend_memo
         car_name = f"car@{label}"
         cdr_name = f"cdr@{label}"
+        to_enter = self._to_enter
         cont_cell: list = []
         pair_memo: dict = {}
         arity: dict = {}
@@ -283,7 +285,8 @@ class CompiledSharedKernel(Kernel):
             conts = cont_cell[0](config, store, reads)
             succs = []
             lam_of = arity.get
-            for operator in decode_iter(conts):
+            for operator in to_enter(config, conts, (arg_masks, result),
+                                     store):
                 key = id(operator)
                 lam = lam_of(key, _MISSING)
                 if lam is _MISSING:

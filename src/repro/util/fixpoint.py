@@ -13,7 +13,9 @@ Two flavours are provided:
   *read* that address are re-enqueued.  This is the efficient
   realization of Shivers's "one store to represent all stores"
   optimization and is what makes the m-CFA rows of the worst-case table
-  finish in reasonable time.
+  finish in reasonable time.  A re-enqueue does not say which
+  addresses grew: the kernel's semi-naive re-step compares the
+  configuration's inputs with its last step's instead.
 """
 
 from __future__ import annotations
@@ -98,11 +100,9 @@ class DependencyWorklist(Generic[T, A]):
     pending, so a configuration is processed at most once per store
     change that affects it.
 
-    Re-enqueues are *delta-propagating*: the worklist remembers which
-    addresses caused each pending re-enqueue, and :meth:`pop_delta`
-    hands the accumulated change-set back to the driver alongside the
-    configuration.  A first visit (or a plain :meth:`add`) carries no
-    delta — the driver must treat the whole read-set as new.
+    :func:`~repro.analysis.engine.run_single_store` inlines these
+    operations against the internals, so this class is the reference
+    semantics its loop must mirror.
     """
 
     def __init__(self):
@@ -110,7 +110,6 @@ class DependencyWorklist(Generic[T, A]):
         self._pending: set[T] = set()
         self._seen: set[T] = set()
         self._readers: dict[A, set[T]] = {}
-        self._delta: dict[T, set[A]] = {}
         self.requeue_count = 0
 
     def add(self, item: T) -> bool:
@@ -128,21 +127,9 @@ class DependencyWorklist(Generic[T, A]):
         return True
 
     def pop(self) -> T:
-        item, _delta = self.pop_delta()
-        return item
-
-    def pop_delta(self) -> tuple[T, frozenset[A] | None]:
-        """Pop a configuration with the addresses that re-enqueued it.
-
-        Returns ``(item, None)`` on the item's first visit, and
-        ``(item, changed)`` when the item is a dirtied reader —
-        ``changed`` being exactly the addresses whose store growth
-        caused the re-enqueue since the item last ran.
-        """
         item = self._queue.popleft()
         self._pending.discard(item)
-        delta = self._delta.pop(item, None)
-        return item, frozenset(delta) if delta is not None else None
+        return item
 
     def record_reads(self, item: T, addresses: Iterable[A]) -> None:
         """Remember that *item* read each address in *addresses*."""
@@ -162,13 +149,11 @@ class DependencyWorklist(Generic[T, A]):
         """The store grew at *addresses*: re-enqueue every reader.
 
         Each reader is enqueued at most once no matter how many of its
-        addresses changed; the changed addresses accumulate into the
-        reader's pending delta (see :meth:`pop_delta`).  Returns the
-        number of configurations newly re-enqueued.
+        addresses changed.  Returns the number of configurations newly
+        re-enqueued.
         """
         requeued = 0
         readers_of = self._readers.get
-        delta = self._delta
         pending = self._pending
         queue = self._queue
         for addr in addresses:
@@ -177,11 +162,6 @@ class DependencyWorklist(Generic[T, A]):
                     pending.add(reader)
                     queue.append(reader)
                     requeued += 1
-                existing = delta.get(reader)
-                if existing is None:
-                    delta[reader] = {addr}
-                else:
-                    existing.add(addr)
         self.requeue_count += requeued
         return requeued
 

@@ -71,6 +71,9 @@ class PlainTable:
     def decode_iter(self, mask: frozenset) -> Iterator:
         return iter(mask)
 
+    def decode_new(self, mask: frozenset, old: frozenset) -> Iterator:
+        return (value for value in mask if value not in old)
+
     def mask_len(self, mask: frozenset) -> int:
         return len(mask)
 

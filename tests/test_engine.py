@@ -1,10 +1,10 @@
-"""Tests for the shared fixpoint engine and its delta propagation.
+"""Tests for the shared fixpoint engine.
 
-Covers the ISSUE-1 checklist: DependencyWorklist dirty/re-enqueue
-semantics (a reader is re-enqueued exactly once per store change,
-non-readers never), the delta handed back by ``pop_delta``, AbsStore
-version counters, and engine-vs-naive result agreement on small
-programs.
+Covers DependencyWorklist dirty/re-enqueue semantics (a reader is
+re-enqueued exactly once per store change, non-readers never), the
+Machine protocol, both drivers, and engine-vs-naive result agreement
+on small programs.  The kernel's semi-naive re-steps are held to full
+re-steps in ``tests/test_seminaive.py``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import (
-    AbsStore, analyze_kcfa, analyze_kcfa_naive, analyze_mcfa,
+    analyze_kcfa, analyze_kcfa_naive, analyze_mcfa,
 )
 from repro.analysis.engine import (
     EngineOptions, Machine, NaiveState, run_naive, run_single_store,
@@ -71,54 +71,6 @@ class TestDirtySemantics:
         assert {worklist.pop(), worklist.pop()} == {"r1", "r2"}
 
 
-class TestPopDelta:
-    def test_first_visit_has_no_delta(self):
-        worklist = DependencyWorklist()
-        worklist.add("fresh")
-        assert worklist.pop_delta() == ("fresh", None)
-
-    def test_requeue_carries_exact_changed_addresses(self):
-        worklist = DependencyWorklist()
-        worklist.add("reader")
-        worklist.pop()
-        worklist.record_reads("reader", ["a", "b", "c"])
-        worklist.dirty(["a"])
-        worklist.dirty(["c", "unread"])
-        config, delta = worklist.pop_delta()
-        assert config == "reader"
-        assert delta == frozenset({"a", "c"})
-
-    def test_delta_resets_between_requeues(self):
-        worklist = DependencyWorklist()
-        worklist.add("reader")
-        worklist.pop()
-        worklist.record_reads("reader", ["a", "b"])
-        worklist.dirty(["a"])
-        assert worklist.pop_delta() == ("reader", frozenset({"a"}))
-        worklist.dirty(["b"])
-        assert worklist.pop_delta() == ("reader", frozenset({"b"}))
-
-
-class TestStoreVersions:
-    def test_versions_bump_only_on_growth(self):
-        store = AbsStore()
-        addr = ("x", ())
-        assert store.version(addr) == 0
-        assert store.join(addr, {1}) is True
-        assert store.version(addr) == 1
-        assert store.join(addr, {1}) is False  # no growth
-        assert store.version(addr) == 1
-        assert store.join(addr, {2}) is True
-        assert store.version(addr) == 2
-
-    def test_clock_counts_growing_joins_store_wide(self):
-        store = AbsStore()
-        store.join(("x", ()), {1})
-        store.join(("y", ()), {1})
-        store.join(("x", ()), {1})  # redundant
-        assert store.clock == 2
-
-
 class TestMachineProtocol:
     def test_all_machines_satisfy_protocol(self):
         from repro.fj import parse_fj
@@ -147,7 +99,6 @@ class TestEngineDrivers:
         run = run_single_store(KCFAMachine(program, 0), Recorder())
         assert run.steps > 0
         assert run.requeues > 0
-        assert run.delta_addresses >= run.requeues
 
     def test_budget_is_enforced(self):
         program = compile_program("""
