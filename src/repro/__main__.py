@@ -786,13 +786,8 @@ def _cmd_query_batch(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    if args.table == "worstcase":
-        from benchmarks.bench_table1_worstcase import generate_table
-        from repro.metrics.timing import format_table
-        headers, rows = generate_table(timeout=args.timeout)
-        print(format_table(headers, rows))
-        return 0
     module_for = {
+        "worstcase": "bench_table1_worstcase",
         "precision": "bench_table2_precision",
         "envs": "bench_fig1_fig2_envs",
         "identity": "bench_identity_example",
@@ -801,11 +796,18 @@ def _cmd_tables(args) -> int:
     }
     import importlib
     import os
+    # The table scripts live in the checkout's benchmarks/ directory,
+    # found from this file, so the command runs from any directory.
     sys.path.insert(0, os.path.join(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))), "..",
         "benchmarks"))
     module = importlib.import_module(module_for[args.table])
-    module.main()
+    if args.table == "worstcase":
+        from repro.metrics.timing import format_table
+        headers, rows = module.generate_table(timeout=args.timeout)
+        print(format_table(headers, rows))
+    else:
+        module.main()
     return 0
 
 

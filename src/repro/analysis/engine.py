@@ -79,14 +79,16 @@ class Machine(Protocol):
 
 
 #: The engine tiers a run can ask for: the generic kernel loop, the
-#: per-policy specialized loop (:mod:`repro.analysis.specialize`) and
-#: generated step source (:mod:`repro.analysis.codegen`).  A tier
-#: falls back to the one below it wherever its policy is not covered,
-#: and all three give byte- and trajectory-identical results, so the
-#: tier is never part of a job's identity.  It follows from the call
-#: site: one-shot runs take :data:`DEFAULT_TIER`, and only a warm
-#: fleet worker asks for ``codegen``, because only it runs a program
-#: often enough to repay ``compile()`` of the generated module.
+#: specialized loop (:mod:`repro.analysis.specialize` — shared
+#: environments only) and generated step source
+#: (:mod:`repro.analysis.codegen` — flat Scheme environments only).
+#: A tier falls back to the one below it wherever its machine is not
+#: covered — every FJ machine runs generic at every tier — and all
+#: three give byte- and trajectory-identical results, so the tier is
+#: never part of a job's identity.  It follows from the call site:
+#: one-shot runs take :data:`DEFAULT_TIER`, and only a warm fleet
+#: worker asks for ``codegen``, because only it runs a program often
+#: enough to repay ``compile()`` of the generated module.
 TIERS = ("generic", "specialized", "codegen")
 DEFAULT_TIER = "specialized"
 
@@ -94,12 +96,12 @@ DEFAULT_TIER = "specialized"
 def specialize(machine: "Machine", enabled: bool = True) -> "Machine":
     """The per-policy specialization stage.
 
-    Given a generic machine, return the staged step loop its policy's
-    declared axes admit (:mod:`repro.analysis.specialize`): shared-env
-    policies get pre-bound address constructors and a monomorphic
-    eval/apply dispatch, the context-free flat FJ policy a fully
-    folded per-statement loop.  Falls back to *machine* itself when
-    nothing applies (or ``enabled`` is False — the ``generic`` tier).
+    Given a generic machine, return its staged step loop
+    (:mod:`repro.analysis.specialize`): shared-env kernels get
+    pre-bound address constructors and a monomorphic eval/apply
+    dispatch.  Returns *machine* itself when nothing applies — flat
+    and summary kernels, the naive drivers' machines and every FJ
+    machine — or when ``enabled`` is False (the ``generic`` tier).
     Specialized machines are trajectory-identical to their generic
     originals; the golden suite and ``tests/test_specialize.py`` gate
     that byte-for-byte.
@@ -114,20 +116,17 @@ def codegen_stage(machine: "Machine", enabled: bool = True,
                   cache=None) -> "Machine | None":
     """The source-level codegen stage, one rung past specialization.
 
-    Given a generic machine whose policy admits it
-    (:mod:`repro.analysis.codegen`: flat-env kernels, and the flat FJ
-    machine under a receiver-insensitive context-free policy), return
-    a machine that ``exec``-s *generated Python source* — one
-    straight-line step function per program node with addresses,
-    successor configurations and dispatch plans inlined as literals,
-    and (for the context-free kinds) bit-parallel transfer blocks that
-    collapse a successor's per-address joins into one packed-int
-    compare.  Returns ``None`` when the policy is not covered or
-    ``enabled`` is False — callers then fall back to
-    :func:`specialize`.  Codegen machines honor the same byte- and
-    trajectory-identity contract as specialized ones; *cache* is the
-    :class:`~repro.cache.CodegenCache` to draw generated modules from
-    (``None`` = the process default).
+    Given a flat-environment kernel (:mod:`repro.analysis.codegen`),
+    return a machine that ``exec``-s *generated Python source* — one
+    straight-line step function per program node, with memoized
+    per-(environment, operator) apply plans and bit-parallel transfer
+    blocks that collapse a successor's per-address joins into one
+    packed-int compare.  Returns ``None`` for every other machine
+    (every FJ machine included) or when ``enabled`` is False —
+    callers then fall back to :func:`specialize`.  Codegen machines
+    honor the same byte- and trajectory-identity contract as
+    specialized ones; *cache* is the :class:`~repro.cache.CodegenCache`
+    to draw generated modules from (``None`` = the process default).
 
     Building a machine here costs an emit and a ``compile()`` of the
     module on a cache miss — far more than a one-shot fixpoint on the

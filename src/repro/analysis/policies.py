@@ -35,19 +35,9 @@ from repro.cps.syntax import (
 
 
 def call_site_tick(k: int):
-    """k-CFA's tick (§3.5.1): keep the last *k* call-site labels.
-
-    The returned callable carries its **declared axes** — ``shape``,
-    ``depth`` and ``context_free`` — which the engine tiers
-    (:mod:`repro.analysis.specialize`, :mod:`repro.analysis.codegen`)
-    consult to pick a pre-resolved step loop without calling the
-    policy.
-    """
+    """k-CFA's tick (§3.5.1): keep the last *k* call-site labels."""
     def tick(call_label: int, time: tuple) -> tuple:
         return first_k(k, (call_label, *time))
-    tick.shape = "call-site"
-    tick.depth = k
-    tick.context_free = k == 0
     return tick
 
 
@@ -57,20 +47,12 @@ def mcfa_allocator(m: int):
     A *procedure* call pushes the call site and keeps the top m
     frames; a *continuation* call **restores** the environment the
     continuation closed over (the caller's frames — a return).
-
-    ``context_free`` declares the m = 0 invariant the codegen tier
-    relies on: with no frames to keep, every environment the system
-    can construct is the empty tuple (restores included, since every
-    closure was itself created under the empty environment).
     """
     def alloc(call_label: int, caller_env: tuple, lam: Lam,
               callee_env: tuple) -> tuple:
         if lam.is_user:
             return first_k(m, (call_label, *caller_env))
         return callee_env
-    alloc.shape = "mcfa"
-    alloc.depth = m
-    alloc.context_free = m == 0
     return alloc
 
 
@@ -81,9 +63,6 @@ def poly_kcfa_allocator(k: int):
     def alloc(call_label: int, caller_env: tuple, lam: Lam,
               callee_env: tuple) -> tuple:
         return first_k(k, (call_label, *caller_env))
-    alloc.shape = "poly"
-    alloc.depth = k
-    alloc.context_free = k == 0
     return alloc
 
 
@@ -185,9 +164,6 @@ class FJContextPolicy:
       given the continuation's saved time;
     * ``receiver_sensitive`` — whether ``invoke`` needs the receiver
       (forces the flat machine's per-receiver invoke path);
-    * ``context_free`` — declares that every time the policy can
-      produce is the empty tuple, so the specialization stage may run
-      the machine with all context construction pre-folded away;
     * ``this_mode`` — how ``this`` is bound on entry: ``"join-all"``
       (the whole receiver flow set, the historical Figure 9
       behaviour), ``"alias"`` (only the dispatching receiver) or
@@ -199,7 +175,6 @@ class FJContextPolicy:
     receiver_sensitive = False
     this_mode = "join-all"
     display = "invocation"
-    context_free = False
 
     def initial(self) -> tuple:
         return ()
@@ -216,12 +191,6 @@ class FJCallSite(FJContextPolicy):
     @property
     def display(self) -> str:
         return self.tick
-
-    @property
-    def context_free(self) -> bool:
-        """With k = 0 every window truncates to the empty tuple under
-        both ticking modes, so all times the machine can see are ()."""
-        return self.k == 0
 
     def step(self, label: int, now: tuple) -> tuple:
         if self.tick == "statement":

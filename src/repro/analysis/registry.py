@@ -38,14 +38,13 @@ class AnalysisSpec:
     Featherweight Java).
 
     ``specialized`` and ``codegen`` declare which engine tiers above
-    the generic loop exist for the policy (at some depth):
-    ``specialized`` a per-policy staged loop
-    (:mod:`repro.analysis.specialize` — k-CFA and ``fj-poly``),
-    ``codegen`` generated step source with bit-parallel transfer
-    (:mod:`repro.analysis.codegen` — the flat Scheme policies and
-    ``fj-poly``).  Every tier is byte-identical to the generic loop,
-    gated by the golden and differential suites, and a run asking for
-    a tier its policy lacks falls back to the one below.
+    the generic loop exist for the policy: ``specialized`` a staged
+    loop (:mod:`repro.analysis.specialize` — k-CFA), ``codegen``
+    generated step source with bit-parallel transfer
+    (:mod:`repro.analysis.codegen` — the flat Scheme policies).
+    Every tier is byte-identical to the generic loop, gated by the
+    golden and differential suites, and a run asking for a tier its
+    policy lacks falls back to the one below.
     ``context_free`` marks the analyses without a context depth
     (0CFA, pushdown): they report parameter 0 whatever depth they
     are asked for.  ``takes_obj_depth`` marks the hybrid ladder: only
@@ -319,6 +318,8 @@ def _register_builtin(table: AnalysisRegistry) -> None:
         context="tick: last k call sites; reachable-states driver",
         complexity="EXPTIME even for k=0", factory=kcfa_naive,
         concrete="shared-history", paper="§3.6"))
+    # Every FJ machine runs the generic loop at every tier: the flat
+    # machine memoizes its own receiver-insensitive invoke plans.
     table.register(AnalysisSpec(
         name="fj-kcfa", display="FJ-k-CFA", language="fj",
         env_rep="shared", engine="single-store",
@@ -330,19 +331,13 @@ def _register_builtin(table: AnalysisRegistry) -> None:
         env_rep="flat", engine="single-store",
         context="benv collapsed to its time (BEnv ~ Time)",
         complexity="PTIME", factory=fj_poly,
-        concrete="fj", paper="§4.4",
-        # Both tiers at k = 0 only (the receiver-insensitive
-        # context-free policy); deeper runs are generic.
-        specialized=True, codegen=True))
+        concrete="fj", paper="§4.4"))
     table.register(AnalysisSpec(
         name="fj-kcfa-gc", display="FJ-k-CFA+GC", language="fj",
         env_rep="shared", engine="naive+gc",
         context="Figure 9 ticks; abstract GC per transition",
         complexity="per-state stores", factory=fj_kcfa_gc,
         concrete="fj", paper="§8"))
-    # Receiver-sensitive flat FJ: per-receiver times mean the
-    # per-statement addresses are not compile-time constants, so
-    # neither the specializer nor the emitter covers these three.
     table.register(AnalysisSpec(
         name="fj-mcfa", display="FJ-m-CFA", language="fj",
         env_rep="flat", engine="single-store",

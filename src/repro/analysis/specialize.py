@@ -1,28 +1,20 @@
-"""Per-policy engine specialization: staged step loops.
+"""Per-policy engine specialization: a staged step loop for k-CFA.
 
 The generic :class:`~repro.analysis.kernel.Kernel` pays the fully
 general price (a polymorphic eval/apply dispatch, environment lookups
 through the rep) for every policy.  This module is the partial
-evaluator the registry's policy-as-data refactor unlocked: given a
-machine whose policy declares its axes (env rep shared/flat, tick
-arity, alloc shape — see :mod:`repro.analysis.policies`), it builds a
-**pre-resolved step function per program node**, staged against the
-policy.  Two policies have one, the two whose staged loop measured
-faster than the generic kernel end to end:
-
-* :class:`CompiledSharedKernel` — shared environments (the k-CFA
-  family): pre-bound tick and address constructors, monomorphic
-  eval/apply dispatch, the §3.4 apply rule inlined against the rep's
-  extend memo.
-* :class:`ZeroFJFlatMachine` — the flat FJ machine under a
-  receiver-insensitive *context-free* policy (``fj-poly`` at k = 0):
-  per-statement compiled steps with all times folded to ``()`` and
-  per-method entry records (kont address, parameter addresses,
-  successor configuration) computed once.
+evaluator for the one policy family whose staged loop measured faster
+than the generic kernel end to end: :class:`CompiledSharedKernel`,
+for shared environments (the k-CFA family), builds a **pre-resolved
+step function per call node** — pre-bound tick and address
+constructors, monomorphic eval/apply dispatch, the §3.4 apply rule
+inlined against the rep's extend memo.
 
 Flat Scheme environments (m-CFA, poly-k-CFA, 0CFA) run the generic
 kernel here; their faster tier is generated source
 (:mod:`repro.analysis.codegen`), which only warm fleet workers use.
+The FJ machines have no staged loop: the flat FJ machine memoizes its
+own invoke plans (:meth:`repro.fj.poly.FJFlatMachine._invoke`).
 
 **The contract is byte-identity, trajectory included.**  A compiled
 step must produce the same successors with the same joins *in the
@@ -51,36 +43,23 @@ from repro.scheme.primitives import lookup_primitive
 
 _MISSING = object()
 
-#: The constant environment of every context-free flat policy.
-_EMPTY = ()
-
 
 def specialize_machine(machine):
     """The specialization stage: a staged machine for *machine*'s
     policy, or ``None`` when no specialization applies (flat Scheme
-    environments, the pushdown rep, naive-engine machines,
-    receiver-sensitive FJ policies, the map-based FJ machine)."""
-    from repro.fj.poly import FJFlatMachine
-    if isinstance(machine, Kernel):
-        rep = machine.rep
-        if isinstance(rep, SharedEnv):
-            return CompiledSharedKernel(machine.program, rep)
-        # Flat environments run the generic kernel: staged flat loops
-        # measured no faster than it, cold or warm.
-        # SummaryEnv (the pushdown rep) is deliberately not covered:
-        # its step cost is already flat (entry keys are memoized and
-        # the stack/heap split is static), and its entry environments
-        # depend on run-time argument signatures, so there is nothing
-        # to fold at compile time.  Its spec leaves the
-        # ``specialized`` knob off; tests/test_pushdown.py asserts the
-        # knob stays honest.
-        return None
-    if isinstance(machine, FJFlatMachine):
-        policy = machine.policy
-        if getattr(policy, "context_free", False) \
-                and not policy.receiver_sensitive:
-            return ZeroFJFlatMachine(machine.program, policy)
-        return None
+    environments, the pushdown rep, naive-engine machines, every FJ
+    machine)."""
+    if isinstance(machine, Kernel) and isinstance(machine.rep,
+                                                  SharedEnv):
+        return CompiledSharedKernel(machine.program, machine.rep)
+    # Flat environments run the generic kernel: staged flat loops
+    # measured no faster than it, cold or warm.
+    # SummaryEnv (the pushdown rep) is deliberately not covered: its
+    # step cost is already flat (entry keys are memoized and the
+    # stack/heap split is static), and its entry environments depend
+    # on run-time argument signatures, so there is nothing to fold at
+    # compile time.  Its spec leaves the ``specialized`` knob off;
+    # tests/test_pushdown.py asserts the knob stays honest.
     return None
 
 
@@ -310,291 +289,4 @@ class CompiledSharedKernel(Kernel):
                     (KConfig(call, config.benv, config.time),
                      extra_joins))
             return succs
-        return step
-
-
-class ZeroFJFlatMachine:
-    """The flat FJ machine under a receiver-insensitive context-free
-    policy, with per-statement compiled steps and all times folded to
-    ``()``.
-
-    Constructed via :func:`specialize_machine`; delegates everything
-    structural (entry seeding, class table, constructor wiring) to
-    the generic machine it replaces and only overrides the step loop.
-    """
-
-    specialization = "zero-fj-flat"
-
-    def __init__(self, program, policy):
-        from repro.fj.poly import FJFlatMachine
-        self.program = program
-        self.policy = policy
-        self._generic = FJFlatMachine(program, policy)
-
-    def boot(self, store):
-        config = self._generic.boot(store)
-        self.table = self._generic.table
-        self._compiled: dict[int, object] = {}
-        return config
-
-    def step(self, config, store, reads, recorder):
-        stmt = config.stmt
-        fn = self._compiled.get(stmt.label)
-        if fn is None:
-            fn = self._compile(stmt)
-            self._compiled[stmt.label] = fn
-        return fn(config, store, reads, recorder)
-
-    # -- compilation ---------------------------------------------------
-
-    def _compile(self, stmt):
-        from repro.fj.syntax import (
-            Cast, FieldAccess, Invoke, New, Return, VarExp,
-        )
-        if isinstance(stmt, Return):
-            return self._compile_return(stmt)
-        exp = stmt.exp
-        if isinstance(exp, (VarExp, Cast)):
-            return self._compile_move(stmt, exp.target
-                                      if isinstance(exp, Cast)
-                                      else exp.name)
-        if isinstance(exp, FieldAccess):
-            return self._compile_field_access(stmt, exp)
-        if isinstance(exp, Invoke):
-            return self._compile_invoke(stmt, exp)
-        if isinstance(exp, New):
-            return self._compile_new(stmt, exp)
-        raise TypeError(f"cannot step statement {stmt!r}")
-
-    def _succ_memo(self, following):
-        """``kont_ptr -> PConfig(following, (), kont_ptr, ())``, one
-        constructed configuration per continuation pointer."""
-        from repro.fj.poly import PConfig
-        memo: dict = {}
-
-        def succ_for(kont_ptr):
-            succ = memo.get(kont_ptr)
-            if succ is None:
-                succ = PConfig(following, _EMPTY, kont_ptr, _EMPTY)
-                memo[kont_ptr] = succ
-            return succ
-        return succ_for
-
-    def _compile_move(self, stmt, source_name):
-        source = (source_name, _EMPTY)
-        target = (stmt.var, _EMPTY)
-        following = self.program.succ(stmt.label)
-        if following is None:
-            def dead(config, store, reads, recorder):
-                reads.add(source)
-                store.get_mask(source)
-                return []
-            return dead
-        succ_for = self._succ_memo(following)
-
-        def step(config, store, reads, recorder):
-            reads.add(source)
-            values = store.get_mask(source)
-            joins = [(target, values)] if values else []
-            return [(succ_for(config.kont_ptr), joins)]
-        return step
-
-    def _compile_field_access(self, stmt, exp):
-        from repro.fj.poly import PObj
-        source = (exp.target, _EMPTY)
-        target = (stmt.var, _EMPTY)
-        fieldname = exp.fieldname
-        all_fields = self.program.all_fields
-        field_key = self._generic._field_key
-        decode_iter = self.table.decode_iter
-        following = self.program.succ(stmt.label)
-        addr_memo: dict = {}
-
-        def addr_for(value):
-            addr = addr_memo.get(value, _MISSING)
-            if addr is _MISSING:
-                addr = (field_key(fieldname), value.time) \
-                    if isinstance(value, PObj) \
-                    and fieldname in all_fields(value.classname) \
-                    else None
-                addr_memo[value] = addr
-            return addr
-
-        if following is None:
-            def dead(config, store, reads, recorder):
-                reads.add(source)
-                for value in decode_iter(store.get_mask(source)):
-                    addr = addr_for(value)
-                    if addr is not None:
-                        reads.add(addr)
-                        store.get_mask(addr)
-                return []
-            return dead
-        succ_for = self._succ_memo(following)
-
-        def step(config, store, reads, recorder):
-            reads.add(source)
-            joins = []
-            for value in decode_iter(store.get_mask(source)):
-                addr = addr_for(value)
-                if addr is None:
-                    continue
-                reads.add(addr)
-                field_values = store.get_mask(addr)
-                if field_values:
-                    joins.append((target, field_values))
-            return [(succ_for(config.kont_ptr), joins)]
-        return step
-
-    def _compile_return(self, stmt):
-        from repro.fj.kcfa import HALT_PTR
-        from repro.fj.poly import PConfig, PKont
-        source = (stmt.var, _EMPTY)
-        decode = self.table.decode
-        decode_iter = self.table.decode_iter
-        kont_memo: dict = {}
-
-        def kont_entry(kont):
-            entry = kont_memo.get(kont, _MISSING)
-            if entry is _MISSING:
-                entry = None
-                if isinstance(kont, PKont):
-                    entry = ((kont.var, kont.caller_entry),
-                             PConfig(kont.stmt, kont.caller_entry,
-                                     kont.kont_ptr, _EMPTY))
-                kont_memo[kont] = entry
-            return entry
-
-        def step(config, store, reads, recorder):
-            reads.add(source)
-            values = store.get_mask(source)
-            kont_ptr = config.kont_ptr
-            if kont_ptr is HALT_PTR:
-                recorder.halt_values |= decode(values)
-                return []
-            reads.add(kont_ptr)
-            succs = []
-            for kont in decode_iter(store.get_mask(kont_ptr)):
-                entry = kont_entry(kont)
-                if entry is None:
-                    continue
-                target, succ = entry
-                joins = [(target, values)] if values else []
-                succs.append((succ, joins))
-            return succs
-        return step
-
-    def _compile_invoke(self, stmt, exp):
-        from repro.fj.poly import PConfig, PKont, PObj
-        label = stmt.label
-        var = stmt.var
-        receiver_addr = (exp.target, _EMPTY)
-        arg_addrs = tuple((arg, _EMPTY) for arg in exp.args)
-        nargs = len(arg_addrs)
-        method_name = exp.method
-        lookup_method = self.program.lookup_method
-        decode_iter = self.table.decode_iter
-        bit_for = self.table.bit_for
-        following = self.program.succ(stmt.label)
-        dispatch_memo: dict = {}   # receiver value -> method | None
-        plan_memo: dict = {}       # qualified name -> entry plan
-        kont_bits: dict = {}       # kont_ptr -> interned PKont bit
-        recorded: set = set()
-
-        def method_for(value):
-            method = dispatch_memo.get(value, _MISSING)
-            if method is _MISSING:
-                method = None
-                if isinstance(value, PObj):
-                    found = lookup_method(value.classname, method_name)
-                    if found is not None \
-                            and len(found.params) == nargs:
-                        method = found
-                dispatch_memo[value] = method
-            return method
-
-        def plan_for(qualified_name, method):
-            plan = plan_memo.get(qualified_name)
-            if plan is None:
-                kont_addr = (qualified_name, _EMPTY)
-                plan = (kont_addr,
-                        tuple((name, _EMPTY)
-                              for name in method.param_names()),
-                        PConfig(method.body[0], _EMPTY, kont_addr,
-                                _EMPTY))
-                plan_memo[qualified_name] = plan
-            return plan
-
-        def step(config, store, reads, recorder):
-            reads.add(receiver_addr)
-            receivers = store.get_mask(receiver_addr)
-            if following is None:
-                return []
-            arg_masks = []
-            for addr in arg_addrs:
-                reads.add(addr)
-                arg_masks.append(store.get_mask(addr))
-            methods = {}
-            for value in decode_iter(receivers):
-                method = method_for(value)
-                if method is not None:
-                    methods[method.qualified_name] = method
-            kont_ptr = config.kont_ptr
-            succs = []
-            for qualified_name, method in sorted(methods.items()):
-                kont_bit = kont_bits.get(kont_ptr)
-                if kont_bit is None:
-                    kont_bit = bit_for(PKont(var, following, _EMPTY,
-                                             _EMPTY, kont_ptr))
-                    kont_bits[kont_ptr] = kont_bit
-                kont_addr, param_addrs, succ = plan_for(
-                    qualified_name, method)
-                joins = [(kont_addr, kont_bit)]
-                if receivers:
-                    joins.append((("this", _EMPTY), receivers))
-                if qualified_name not in recorded:
-                    recorded.add(qualified_name)
-                    recorder.invoke_targets.setdefault(
-                        label, set()).add(qualified_name)
-                    recorder.method_contexts.setdefault(
-                        qualified_name, set()).add(_EMPTY)
-                for addr, values in zip(param_addrs, arg_masks):
-                    if values:
-                        joins.append((addr, values))
-                succs.append((succ, joins))
-            return succs
-        return step
-
-    def _compile_new(self, stmt, exp):
-        from repro.fj.poly import PObj
-        arg_addrs = tuple((arg, _EMPTY) for arg in exp.args)
-        field_key = self._generic._field_key
-        wiring = tuple(
-            ((field_key(fieldname), _EMPTY), param_index)
-            for fieldname, param_index
-            in self.program.ctor_wiring[exp.classname])
-        obj = PObj(exp.classname, stmt.label, _EMPTY)
-        obj_cell: list = []
-        bit_for = self.table.bit_for
-        target = (stmt.var, _EMPTY)
-        following = self.program.succ(stmt.label)
-        succ_for = self._succ_memo(following) \
-            if following is not None else None
-
-        def step(config, store, reads, recorder):
-            arg_masks = []
-            for addr in arg_addrs:
-                reads.add(addr)
-                arg_masks.append(store.get_mask(addr))
-            joins = []
-            for field_addr, param_index in wiring:
-                if arg_masks[param_index]:
-                    joins.append((field_addr, arg_masks[param_index]))
-            recorder.objects.add(obj)
-            if not obj_cell:
-                obj_cell.append(bit_for(obj))
-            joins.append((target, obj_cell[0]))
-            if succ_for is None:
-                return []
-            return [(succ_for(config.kont_ptr), joins)]
         return step

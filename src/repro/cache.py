@@ -301,11 +301,11 @@ class ProgramCache:
     these so a repeat submission that misses the result cache (say,
     a different context depth over the same source) still skips
     parse/CPS-transform/boot.  The payoff compounds because the
-    codegen tier caches its program fingerprint and per-lambda entry
-    plans *on the Program object* (:mod:`repro.analysis.codegen`), so
-    returning the same object also returns its already-built plans —
-    the per-worker ``plans_reused`` stat the sharding tests observe
-    counts exactly these hits.
+    codegen tier memoizes its program fingerprint *on the Program
+    object* (:mod:`repro.analysis.codegen`), so returning the same
+    object also skips re-hashing it on the way to the generated
+    module — the per-worker ``plans_reused`` stat the sharding tests
+    observe counts exactly these hits.
 
     Keys are ``(language, sha256(source), simplify)``: everything
     that determines the compiled artifact and nothing that does not
@@ -361,9 +361,11 @@ class ProgramCache:
 
 
 #: Bump whenever the shape of generated step-loop source changes —
-#: emitter templates, the runtime-helper contract, or the meaning of
-#: a kind string.  Stale modules then fail validation and regenerate.
-CODEGEN_SCHEMA_VERSION = 6
+#: emitter templates, the runtime-helper contract, or what the key
+#: covers.  Stale modules then fail validation and regenerate, and
+#: ``CodegenCache.prune`` deletes them.  (7: one module kind, keyed
+#: on the program alone.)
+CODEGEN_SCHEMA_VERSION = 7
 
 
 def default_codegen_dir() -> Path:
@@ -376,7 +378,7 @@ class CodegenCache:
     """Disk + in-memory cache of generated step-loop modules.
 
     The codegen tier (:mod:`repro.analysis.codegen`) emits one Python
-    module per ``(schema, kind, program)`` triple; emission walks the
+    module per ``(schema, program)`` pair; emission walks the
     whole program and loading compiles the result, so a fleet
     worker's repeat jobs should pay both once.  Entries live
     one-per-file as ``<key>.py`` beside the result cache, written

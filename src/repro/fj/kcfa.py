@@ -111,6 +111,15 @@ class AKont:
 
 
 class _HaltPtr:
+    """The entry method's continuation pointer (a singleton)."""
+
+    # A constant hash (equality stays identity): every entry-method
+    # configuration hashes it, so an address-derived hash would tie
+    # engine set iteration orders, and with them ``steps``, to the
+    # heap layout of the process.
+    def __hash__(self) -> int:
+        return 0x4A17
+
     def __repr__(self) -> str:
         return "#halt-ptr"
 

@@ -23,7 +23,10 @@ every context decision delegated to an
 Receiver-*sensitive* policies (the latter two) take a per-receiver
 invoke path: each dispatching object gets its own entry context.  The
 receiver-insensitive path is byte-identical to the pre-kernel machine
-(pinned by the golden suite).
+(pinned by the golden suite); it memoizes each site's dispatch, each
+continuation bit and each callee entry plan (kont address, parameter
+addresses, successor configuration), so a re-step over a large
+receiver set rebuilds none of them.
 
 Two deltas against the faithful map-based machine, both noted in the
 original DESIGN.md:
@@ -59,6 +62,8 @@ from repro.util.budget import Budget
 
 AbsTime = tuple
 AbsAddr = tuple[str, AbsTime]
+
+_MISSING = object()
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,8 +151,20 @@ class FJFlatMachine:
     # -- the engine's Machine protocol ---------------------------------
 
     def boot(self, store: AbsStore) -> PConfig:
-        """Adopt the store's value table and seed the entry object."""
+        """Adopt the store's value table, start the invoke memos and
+        seed the entry object."""
         self.table = store.table
+        # The receiver-insensitive invoke rule's memos (see _invoke).
+        # Each key holds everything its value depends on, so they
+        # serve every policy and depth unchanged:
+        # * site -> {receiver: (qualified name, method) or None};
+        # * (site, entry, now, kont_ptr) -> (callee entry time,
+        #   continuation bit);
+        # * (qualified name, callee entry time) -> (kont address,
+        #   parameter addresses, successor configuration).
+        self._dispatch: dict = {}
+        self._konts: dict = {}
+        self._plans: dict = {}
         return self.initial(store)
 
     def step(self, config: PConfig, store, reads: set[AbsAddr],
@@ -251,31 +268,62 @@ class FJFlatMachine:
             return self._invoke_per_receiver(
                 stmt, exp, entry, kont_ptr, now, receivers, arg_values,
                 following, store, reads, recorder)
+        label = stmt.label
+        site = self._dispatch.get(label)
+        if site is None:
+            site = self._dispatch[label] = {}
         methods: dict[str, Method] = {}
         for value in self.table.decode_iter(receivers):
-            if not isinstance(value, PObj):
-                continue
-            method = self.program.lookup_method(value.classname,
-                                                exp.method)
-            if method is not None and \
-                    len(method.params) == len(exp.args):
-                methods[method.qualified_name] = method
+            target = site.get(value, _MISSING)
+            if target is _MISSING:
+                method = self._dispatch_target(value, exp)
+                target = site[value] = None if method is None \
+                    else (method.qualified_name, method)
+            if target is not None:
+                methods[target[0]] = target[1]
+        if not methods:
+            return []
+        # The callee's entry time and the interned continuation, made
+        # at the first dispatching target like the unmemoized rule.
+        key = (label, entry, now, kont_ptr)
+        kont = self._konts.get(key)
+        if kont is None:
+            new_time = self.policy.invoke(label, now, entry, None)
+            kont = self._konts[key] = (new_time, self.table.bit_for(
+                PKont(stmt.var, following, entry, now, kont_ptr)))
+        new_time, kont_bit = kont
+        plans = self._plans
         succs = []
         for qualified_name, method in sorted(methods.items()):
-            new_time = self.policy.invoke(stmt.label, now, entry, None)
-            kont = PKont(stmt.var, following, entry, now, kont_ptr)
-            joins: list = [((qualified_name, new_time),
-                            self.table.bit_for(kont))]
+            plan = plans.get((qualified_name, new_time))
+            if plan is None:
+                kont_addr = (qualified_name, new_time)
+                plan = plans[qualified_name, new_time] = (
+                    kont_addr,
+                    tuple([(name, new_time)
+                           for name in method.param_names()]),
+                    PConfig(method.body[0], new_time, kont_addr,
+                            new_time))
+            kont_addr, param_addrs, succ = plan
             # this is bound by copy, keeping every address at t̂'.
-            if receivers:
-                joins.append((("this", new_time), receivers))
-            self._record_entry(recorder, stmt.label, qualified_name,
+            joins: list = [(kont_addr, kont_bit),
+                           (("this", new_time), receivers)]
+            self._record_entry(recorder, label, qualified_name,
                                new_time)
-            self._bind_args(joins, method, arg_values, new_time)
-            succs.append((PConfig(method.body[0], new_time,
-                                  (qualified_name, new_time), new_time),
-                          joins))
+            for addr, arg_mask in zip(param_addrs, arg_values):
+                if arg_mask:
+                    joins.append((addr, arg_mask))
+            succs.append((succ, joins))
         return succs
+
+    def _dispatch_target(self, value, exp: Invoke) -> Method | None:
+        """The method *value* dispatches *exp* to, or ``None``."""
+        if not isinstance(value, PObj):
+            return None
+        method = self.program.lookup_method(value.classname, exp.method)
+        if method is None or len(method.params) != len(exp.args):
+            return None
+        return method
 
     def _invoke_per_receiver(self, stmt: Assign, exp: Invoke,
                              entry: AbsTime, kont_ptr, now: AbsTime,
@@ -288,11 +336,8 @@ class FJFlatMachine:
         policy = self.policy
         targets = []
         for value in self.table.decode_iter(receivers):
-            if not isinstance(value, PObj):
-                continue
-            method = self.program.lookup_method(value.classname,
-                                                exp.method)
-            if method is None or len(method.params) != len(exp.args):
+            method = self._dispatch_target(value, exp)
+            if method is None:
                 continue
             new_time = policy.invoke(stmt.label, now, entry, value)
             targets.append((method.qualified_name, method, new_time,
@@ -395,11 +440,12 @@ def run_flat_policy(machine: FJFlatMachine, display: str,
     the single run harness behind every flat-machine analysis
     (``fj-poly``, ``fj-mcfa``, ``fj-hybrid``, ``fj-obj``).
 
-    ``tier`` (:data:`~repro.analysis.engine.TIERS`) picks the step
-    loop.  Receiver-insensitive context-free policies have all three:
-    ``specialized`` is the per-statement compiled loop and
-    ``codegen`` generated source (:mod:`repro.analysis.codegen`);
-    every other policy runs generic whatever the tier.
+    ``tier`` (:data:`~repro.analysis.engine.TIERS`) changes nothing
+    here: the machine still passes through both engine stages, which
+    return it unchanged (``specialize``) and ``None``
+    (``codegen_stage``) for every FJ policy, so every policy runs the
+    one flat machine, whose receiver-insensitive invoke rule memoizes
+    its own plans.
     """
     staged = codegen_stage(machine, tier == "codegen")
     machine = staged if staged is not None \

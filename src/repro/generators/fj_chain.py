@@ -11,9 +11,10 @@ Scheme suite's ``worst<n>`` ladder (minus the exponential blow-up:
 this is the polynomial fragment, which is the paper's point about
 objects).
 
-Used by the bench runner (``--programs fjchain200``) to measure the
-specialized flat FJ step loop against the generic machine on a body
-of code large enough for the ratio to mean something.
+Used by the bench runner (``--programs fjchain200``) to time the FJ
+machines on a body of code large enough for a ratio to mean
+something: at k = 0 the whole chain merges, so the flat machine's
+invoke rule re-steps over every receiver on every re-visit.
 """
 
 from __future__ import annotations

@@ -437,15 +437,16 @@ def run_job(spec: JobSpec, programs=None) -> dict:
     *programs*, when given, is a :class:`repro.cache.ProgramCache` —
     the fleet worker's warm store.  A hit skips parse/CPS/simplify
     and reuses the compiled :class:`Program` object together with the
-    plans cached on it; the row then carries ``warm: True``.  Only
+    codegen fingerprint cached on it; the row then carries
+    ``warm: True``.  Only
     such a warm caller runs the ``codegen`` tier: its generated
     module is emitted and compiled once per program and reused by
     every later job on the worker, whereas a one-shot job would pay
     that ``compile()`` for a single fixpoint — far more than the
     fixpoint itself on the cheap analyses.  One-shot calls run the
     default tier.  Warm and cold runs, on any tier, are
-    byte-identical (the program is a pure value; plan caches only
-    memoize), which ``tests/test_sharding.py`` and
+    byte-identical (the program is a pure value; its fingerprint
+    cache only memoizes), which ``tests/test_sharding.py`` and
     ``tests/test_specialize.py`` pin; the row's ``engine_path`` says
     which loop ran.  Only successfully compiled programs are ever
     cached, so a source that fails the front end re-fails

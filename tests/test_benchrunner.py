@@ -70,7 +70,7 @@ class TestMatrix:
     def test_fj_chain_task_runs(self):
         row = run_task(BenchTask("fjchain5", "fj-poly", 0))
         assert row["status"] == "ok"
-        assert row["engine_path"] == "specialized:zero-fj-flat"
+        assert row["engine_path"] == "generic"
 
     def test_fj_random_ladder_is_an_fj_program(self):
         tasks = build_matrix(["fjrand42"], ["fj-poly", "zero"], [0])
@@ -150,7 +150,7 @@ class TestRunTask:
                      ("eta", "kcfa", 1), ("pairs", "fj-poly", 0))}
         assert paths == {"zero": "generic", "mcfa": "generic",
                          "kcfa": "specialized:shared",
-                         "fj-poly": "specialized:zero-fj-flat"}
+                         "fj-poly": "generic"}
 
     def test_opted_out_spec_reports_generic_even_when_asked(self):
         row = run_task(BenchTask("eta", "kcfa-naive", 1))

@@ -1,5 +1,10 @@
 """Tests for the reporting module and the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
@@ -183,3 +188,19 @@ class TestCLI:
         path = self._write(tmp_path, "bad.scm", "(lambda (x)")
         assert main(["analyze", path]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_worstcase_table_runs_outside_the_repository(self,
+                                                         tmp_path):
+        """``tables`` finds its scripts from the package, not the
+        working directory: the worstcase table once imported them as
+        a ``benchmarks`` package that only resolved from the root."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+        env["PYTHONPATH"] = str(src)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "tables", "--table",
+             "worstcase", "--timeout", "0.2"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[0].startswith("Terms")

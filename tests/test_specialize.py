@@ -39,9 +39,9 @@ FJ_SPECS = registry().specs("fj")
 #: silently stop staging an analysis while this suite vacuously
 #: passes.  The default (one-shot) tier never generates source.
 EXPECTED_PATHS = {
-    ("zero", 0): ("generic", "codegen:zero-flat"),
-    ("mcfa", 0): ("generic", "codegen:zero-flat"),
-    ("poly", 0): ("generic", "codegen:zero-flat"),
+    ("zero", 0): ("generic", "codegen:flat"),
+    ("mcfa", 0): ("generic", "codegen:flat"),
+    ("poly", 0): ("generic", "codegen:flat"),
     ("mcfa", 1): ("generic", "codegen:flat"),
     ("poly", 1): ("generic", "codegen:flat"),
     ("kcfa", 1): ("specialized:shared", "specialized:shared"),
@@ -49,19 +49,20 @@ EXPECTED_PATHS = {
     ("kcfa-gc", 1): ("generic", "generic"),
     ("pushdown", 0): ("generic", "generic"),
     ("pushdown", 1): ("generic", "generic"),
-    ("fj-poly", 0): ("specialized:zero-fj-flat", "codegen:zero-fj-flat"),
+    ("fj-poly", 0): ("generic", "generic"),
     ("fj-poly", 1): ("generic", "generic"),
     ("fj-mcfa", 1): ("generic", "generic"),
     ("fj-kcfa", 0): ("generic", "generic"),
 }
 
 #: What the codegen-covered cells run one tier down, where codegen is
-#: off: the staged loop where one exists, else the generic kernel —
-#: pinned so codegen cannot silently become load-bearing.
+#: off: the generic kernel — pinned so codegen cannot silently become
+#: load-bearing.  fj-poly(0) runs the one flat FJ machine at every
+#: tier.
 EXPECTED_NOCODEGEN_PATHS = {
     ("zero", 0): "generic",
     ("mcfa", 1): "generic",
-    ("fj-poly", 0): "specialized:zero-fj-flat",
+    ("fj-poly", 0): "generic",
 }
 
 
@@ -69,12 +70,12 @@ def test_uncovered_specs_register_the_knob_off():
     """Specs the specializer cannot cover must say so: the analyses
     listing advertises ``specialized`` truthfully."""
     for name in ("kcfa-gc", "kcfa-naive", "fj-kcfa-gc", "fj-kcfa",
-                 "pushdown", "mcfa", "poly", "zero", "fj-mcfa",
-                 "fj-hybrid", "fj-obj"):
+                 "pushdown", "mcfa", "poly", "zero", "fj-poly",
+                 "fj-mcfa", "fj-hybrid", "fj-obj"):
         assert registry().get(name).specialized is False, name
     covered = {spec.name for spec in registry().specs()
                if spec.specialized}
-    assert covered == {"kcfa", "fj-poly"}
+    assert covered == {"kcfa"}
 
 
 def run_both(spec, program, parameter, obj_depth=None):
@@ -279,9 +280,9 @@ def test_diverging_specialization_fails(monkeypatch):
 # The generated-source stage (:mod:`repro.analysis.codegen`) makes the
 # same trajectory promise one rung further up: per-node emitted step
 # functions with bit-parallel transfer must be byte- and
-# trajectory-identical to the tier below (the generic kernel for the
-# flat Scheme policies, the compiled loop for fj-poly(0)), and hence,
-# transitively, to the generic engine the suite above pins.
+# trajectory-identical to the tier below (the generic kernel of the
+# flat Scheme policies), and hence, transitively, to the generic
+# engine the suite above pins.
 
 
 CODEGEN_SCHEME_SPECS = [spec for spec in SCHEME_SPECS if spec.codegen]
@@ -337,27 +338,6 @@ def test_scheme_codegen_byte_identical(name, spec, context, values):
     assert compiled.engine_path == "generic"
 
 
-CODEGEN_FJ_CASES = [
-    (name, values)
-    for name in ("pairs", "dispatch", "linked_list", "oo_identity")
-    for values in VALUE_MODES
-]
-
-
-@pytest.mark.parametrize("name,values", CODEGEN_FJ_CASES)
-def test_fj_codegen_byte_identical(name, values):
-    from repro.fj import parse_fj
-    from repro.fj.examples import ALL_EXAMPLES
-    spec = registry().get("fj-poly")
-    program = parse_fj(ALL_EXAMPLES[name])
-    compiled, generated = run_codegen_both(spec, program, 0, values)
-    assert_codegen_identical(
-        compiled, generated,
-        lambda result: render_fj_reports(program, result), values,
-        context=f"({name}, fj-poly, n=0, {values})")
-    assert generated.engine_path == "codegen:zero-fj-flat"
-
-
 @pytest.mark.parametrize("seed", (5, 23, 71, 104))
 def test_random_scheme_codegen_identical(seed):
     from repro.generators.random_programs import random_program
@@ -372,29 +352,16 @@ def test_random_scheme_codegen_identical(seed):
                 context=f"(seed {seed}, {spec.name}, n={context})")
 
 
-@pytest.mark.parametrize("seed", (7, 42, 99))
-def test_random_fj_codegen_identical(seed):
-    from repro.fj import parse_fj
-    from repro.generators.fj_random import fj_random_source
-    spec = registry().get("fj-poly")
-    program = parse_fj(fj_random_source(seed))
-    compiled, generated = run_codegen_both(spec, program, 0)
-    assert_identical(
-        compiled, generated,
-        lambda result: render_fj_reports(program, result),
-        context=f"(fjrand{seed}, fj-poly, n=0)")
-
-
 def test_codegen_covered_specs_advertise_the_knob():
     """``codegen=True`` in the registry must mean "this suite covers
     it" — and opted-out specs must say no (the analyses table reads
     these)."""
     covered = {spec.name for spec in registry().specs()
                if spec.codegen}
-    assert covered == {"zero", "mcfa", "poly", "fj-poly"}
+    assert covered == {"zero", "mcfa", "poly"}
     for name in ("kcfa", "pushdown", "kcfa-gc", "kcfa-naive",
-                 "fj-kcfa", "fj-kcfa-gc", "fj-mcfa", "fj-hybrid",
-                 "fj-obj"):
+                 "fj-kcfa", "fj-kcfa-gc", "fj-poly", "fj-mcfa",
+                 "fj-hybrid", "fj-obj"):
         assert registry().get(name).codegen is False, name
 
 
@@ -439,6 +406,27 @@ def test_codegen_cache_hits_across_processes_worth_of_state(
         set_default_codegen_cache(None)
 
 
+def test_flat_policies_share_one_module_per_program():
+    """0CFA, m-CFA and poly-k-CFA at any depth run one generated
+    module per program: the allocator is called at run time, so the
+    key covers the program alone."""
+    from repro.analysis.codegen import set_default_codegen_cache
+    from repro.cache import CodegenCache
+    program = compile_program(small_sources()["eta"])
+    cache = CodegenCache()
+    set_default_codegen_cache(cache)
+    try:
+        for name, context in (("zero", 1), ("mcfa", 1), ("poly", 1),
+                              ("mcfa", 0)):
+            result = registry().get(name).run(program, context,
+                                              tier="codegen")
+            assert result.engine_path == "codegen:flat"
+        assert cache.stats.misses == 1
+        assert cache.stats.hits == 3
+    finally:
+        set_default_codegen_cache(None)
+
+
 def test_stale_schema_module_is_regenerated_not_served(tmp_path):
     """A cached module whose embedded SCHEMA predates the current one
     must be rejected and regenerated in place — the invalidation
@@ -460,7 +448,7 @@ def test_stale_schema_module_is_regenerated_not_served(tmp_path):
         rerun = spec.run(program, 0, tier="codegen")
         assert stale.stats.rejected == 1
         assert stale.stats.writes == 1  # regenerated in place
-        assert rerun.engine_path == "codegen:zero-flat"
+        assert rerun.engine_path == "codegen:flat"
         assert render_reports(program, rerun) \
             == render_reports(program, baseline)
         # The rewritten entry is valid again.
@@ -483,7 +471,7 @@ def test_corrupt_cached_module_is_regenerated_not_a_crash(tmp_path):
         set_default_codegen_cache(corrupt)
         rerun = spec.run(program, 0, tier="codegen")
         assert corrupt.stats.rejected == 1
-        assert rerun.engine_path == "codegen:zero-flat"
+        assert rerun.engine_path == "codegen:flat"
         assert render_reports(program, rerun) \
             == render_reports(program, baseline)
     finally:
@@ -523,7 +511,7 @@ def test_failed_module_write_is_not_a_failed_run(tmp_path,
         monkeypatch.setattr("repro.cache.os.replace", full_disk)
         result = spec.run(program, 0, tier="codegen")
         monkeypatch.undo()
-        assert result.engine_path == "codegen:zero-flat"
+        assert result.engine_path == "codegen:flat"
         assert cache.stats.writes == 0
         assert cache.stats.failed == 1
         assert not list(cache.directory.iterdir())
@@ -604,11 +592,15 @@ def test_analyze_cli_never_generates_source(analysis, context,
 
 @pytest.mark.parametrize("analysis,context", ONE_SHOT_CELLS)
 def test_worker_job_runs_codegen(analysis, context):
+    """A warm worker asks for the codegen tier: the flat Scheme cells
+    get the one generated kind, and fj-poly(0), which has no emitter,
+    falls back to the flat FJ machine."""
     from repro.cache import ProgramCache
     from repro.service.jobs import JobSpec, run_job
     source, reference = _cell_source_and_reference(analysis, context)
     row = run_job(JobSpec(source=source, analysis=analysis,
                           context=context), programs=ProgramCache())
     assert row["status"] == "ok", row.get("error")
-    assert row["engine_path"].startswith("codegen:")
+    assert row["engine_path"] == ("generic" if analysis == "fj-poly"
+                                  else "codegen:flat")
     assert row["stdout"] == reference
